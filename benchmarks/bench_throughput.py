@@ -134,6 +134,7 @@ def bench_dcgen(scale: dict) -> dict:
         DCGenConfig,
         DCGenerator,
         build_batches,
+        execute_batch,
         plan_digest,
         planned_execute_costs,
     )
@@ -164,7 +165,7 @@ def bench_dcgen(scale: dict) -> dict:
     counters.reset()
     timer = PhaseTimer(model)
     t0 = time.perf_counter()
-    results = gen._execute(batches, SEED)
+    results = [execute_batch(model, batch, SEED) for batch in batches]
     execute_seconds = time.perf_counter() - t0
     timer.restore()
     guesses = [pw for chunk, _ in results for pw in chunk]

@@ -35,6 +35,10 @@
 #    recorded only); a live `repro serve` is scraped for Prometheus
 #    exposition and rendered once by `repro top` before its SIGTERM
 #    drain.
+# 8. PassGPT smoke: a PassGPT checkpoint runs the sampled (2 workers)
+#    and ordered strategies through the same campaign runner: each is
+#    crashed at its journaled unit, verified, resumed, and diffed
+#    byte-for-byte against a clean run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -129,6 +133,31 @@ python -m repro.cli "${ORD_ARGS[@]}" --out "$SMOKE_DIR/ordered_resumed.txt" \
     --journal "$SMOKE_DIR/ordered.jsonl" --resume
 diff "$SMOKE_DIR/ordered_clean.txt" "$SMOKE_DIR/ordered_resumed.txt"
 echo "ordered smoke: crashed+resumed best-first stream is byte-identical"
+
+# ----------------------------------------------------------------------
+# PassGPT smoke: the baseline model gets the same journaled campaigns.
+# ----------------------------------------------------------------------
+python -m repro.cli train --input "$SMOKE_DIR/cleaned.txt" --model passgpt \
+    --out "$SMOKE_DIR/passgpt.npz" --dim 32 --layers 1 --heads 2 --epochs 1 --batch-size 128
+
+passgpt_crash_resume() {  # <fault directive> <generate args...>
+    local fault=$1; shift
+    local args=(generate --checkpoint "$SMOKE_DIR/passgpt.npz" "$@")
+    python -m repro.cli "${args[@]}" --out "$SMOKE_DIR/passgpt_clean.txt"
+    if REPRO_FAULT=$fault python -m repro.cli "${args[@]}" \
+           --out "$SMOKE_DIR/passgpt_resumed.txt" --journal "$SMOKE_DIR/passgpt.jsonl"; then
+        echo "passgpt smoke: injected $fault did not fire" >&2
+        exit 1
+    fi
+    python -m repro.cli verify "$SMOKE_DIR/passgpt.jsonl" --repair
+    python -m repro.cli "${args[@]}" --out "$SMOKE_DIR/passgpt_resumed.txt" \
+        --journal "$SMOKE_DIR/passgpt.jsonl" --resume
+    diff "$SMOKE_DIR/passgpt_clean.txt" "$SMOKE_DIR/passgpt_resumed.txt"
+}
+passgpt_crash_resume crash:free_chunk:1 -n 1500 --seed 5 --workers 2
+passgpt_crash_resume crash:frontier:1 --strategy ordered -n 60 \
+    --beam-width 64 --max-frontier 5000 --snapshot-every 5
+echo "passgpt smoke: crashed+resumed sampled and ordered streams are byte-identical"
 
 # ----------------------------------------------------------------------
 # Compiled-backend smoke (ISSUE 8): the fused C decode kernels must emit

@@ -62,7 +62,13 @@ from .evaluation import (
     render_table,
     repeat_rate,
 )
-from .generation import DCGenConfig, DCGenerator, SamplerConfig
+from .generation import (
+    STRATEGIES,
+    CampaignOptions,
+    OrderedConfig,
+    SamplerConfig,
+    load_model,
+)
 from .models import PagPassGPT, PassGPT
 from .nn import CheckpointError, GPT2Config
 from .runtime import (
@@ -269,74 +275,51 @@ def cmd_generate(args: argparse.Namespace) -> int:
         # The inference engine is built lazily on first use and reads
         # REPRO_BACKEND then; the env var also reaches spawned workers.
         os.environ["REPRO_BACKEND"] = args.backend
-    model = _load_any(args.checkpoint)
+    model = load_model(args.checkpoint)
     if args.temperature != 1.0 or args.top_k or args.top_p < 1.0:
         model.sampler = SamplerConfig(
             temperature=args.temperature, top_k=args.top_k, top_p=args.top_p
         )
+    strategy = STRATEGIES["dcgen" if args.dcgen else args.strategy]
+    if not args.pattern:
+        try:
+            strategy.check(model.name)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CORRUPT
     journal_path = Path(args.journal or f"{args.out}.journal.jsonl")
-    # Always build a budget (all limits may be None): a limitless budget
-    # still turns SIGTERM/SIGINT into a graceful stop at the next poll.
-    budget = Budget(
-        wall_seconds=args.deadline,
-        max_guesses=args.max_guesses,
-        max_model_calls=args.max_model_calls,
-    )
     started = _start_telemetry(args, run_id="generate")
     profiler = _start_profiler(args)
     heartbeat = telemetry.Heartbeat(
         args.n, enabled=True if args.heartbeat else None
     )
-    strategy = "dcgen" if args.dcgen else args.strategy
     try:
         if args.pattern:
-            if not hasattr(model, "generate_with_pattern"):
-                print("this model cannot do pattern guided generation", file=sys.stderr)
-                return 2
             guesses = model.generate_with_pattern(Pattern.parse(args.pattern), args.n, seed=args.seed)
-        elif strategy == "ordered":
-            from .generation import OrderedConfig, OrderedGenerator
-
-            config = OrderedConfig(
-                beam_width=args.beam_width,
-                max_frontier=args.max_frontier,
-                snapshot_every=args.snapshot_every,
-            )
-            if isinstance(model, PagPassGPT):
-                generator = OrderedGenerator.for_patterns(model, config=config)
-            else:
-                generator = OrderedGenerator.unconditional(model, config=config)
-            guesses = generator.generate(
-                args.n, journal=journal_path, resume=args.resume,
-                progress=heartbeat.update, budget=budget,
-            )
-            stats = generator.stats
-            print(f"ordered: {stats.rounds} rounds, {stats.pops} pops, "
-                  f"{stats.model_calls} model calls, "
-                  f"{stats.truncated_nodes} frontier nodes truncated "
-                  f"({stats.truncated_mass:.3g} mass)", file=sys.stderr)
-        elif strategy == "dcgen":
-            if not isinstance(model, PagPassGPT):
-                print("--strategy dcgen requires a PagPassGPT checkpoint", file=sys.stderr)
-                return 2
-            generator = DCGenerator(
-                model, DCGenConfig(threshold=args.threshold, workers=args.workers)
-            )
-            guesses = generator.generate(
-                args.n, seed=args.seed, journal=journal_path, resume=args.resume,
-                progress=heartbeat.update, budget=budget,
-            )
-            stats = generator.stats
-            print(f"D&C-GEN: {stats.patterns_used} patterns, {stats.leaves} leaves, "
-                  f"{stats.divisions} divisions, {args.workers} worker(s)", file=sys.stderr)
-        elif isinstance(model, PagPassGPT):
-            guesses = model.generate(
-                args.n, seed=args.seed, workers=args.workers,
-                journal=journal_path, resume=args.resume,
-                progress=heartbeat.update, budget=budget,
-            )
         else:
-            guesses = model.generate(args.n, seed=args.seed)
+            guesses, stats = strategy.run(model, args.n, CampaignOptions(
+                seed=args.seed,
+                workers=args.workers,
+                threshold=args.threshold,
+                ordered=OrderedConfig(
+                    beam_width=args.beam_width,
+                    max_frontier=args.max_frontier,
+                    snapshot_every=args.snapshot_every,
+                ),
+                journal=journal_path,
+                resume=args.resume,
+                progress=heartbeat.update,
+                # Always a budget (all limits may be None): a limitless
+                # budget still turns SIGTERM/SIGINT into a graceful stop
+                # at the next poll.
+                budget=Budget(
+                    wall_seconds=args.deadline,
+                    max_guesses=args.max_guesses,
+                    max_model_calls=args.max_model_calls,
+                ),
+            ))
+            if stats:
+                print(stats, file=sys.stderr)
     finally:
         heartbeat.close()
         _finish_profiler(args, profiler)
@@ -346,7 +329,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     if args.manifest:
         _write_artifact_manifest(
             args.out,
-            run={"command": "generate", "strategy": strategy,
+            run={"command": "generate", "strategy": strategy.name,
                  "seed": args.seed, "n": args.n},
         )
     print(f"wrote {len(guesses)} guesses to {args.out}")
@@ -553,14 +536,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return EXIT_INTERRUPTED if summary["reason"] == "deadline" else EXIT_OK
 
 
-def _load_any(path: str) -> PagPassGPT | PassGPT:
-    """Load whichever GPT model kind the checkpoint holds."""
-    try:
-        return PagPassGPT.load(path)
-    except ValueError:
-        return PassGPT.load(path)
-
-
 # ----------------------------------------------------------------------
 # Parser
 # ----------------------------------------------------------------------
@@ -640,7 +615,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("-n", type=int, default=10_000, help="number of guesses")
     p.add_argument("--pattern", default=None, help='guided generation, e.g. "L6N2"')
-    p.add_argument("--strategy", choices=("sampled", "dcgen", "ordered"),
+    p.add_argument("--strategy", choices=tuple(STRATEGIES),
                    default="sampled",
                    help="decode backend: stochastic sampling (default), "
                         "D&C-GEN, or best-first ordered enumeration")
@@ -748,7 +723,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="schedule seed; the same seed replays the same faults")
     p.add_argument("--per-strategy", type=int, default=2,
                    help="cases per (strategy, workers) shape")
-    p.add_argument("--strategies", default="sampled,dcgen,ordered",
+    p.add_argument("--strategies", default=",".join(STRATEGIES),
                    help="comma-separated strategies to sweep")
     p.add_argument("--workers", default="1,2",
                    help="comma-separated worker counts to sweep")

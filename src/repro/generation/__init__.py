@@ -1,5 +1,14 @@
-"""Generation machinery: samplers, D&C-GEN, ordered search, parallel backend."""
+"""Generation machinery: samplers, D&C-GEN, ordered search, parallel backend,
+the campaign runner and the strategy registry."""
 
+from .campaign import (
+    Campaign,
+    CampaignPlan,
+    free_chunks,
+    generate_sampled,
+    run_campaign,
+    run_free_chunk,
+)
 from .dcgen import (
     DCGenConfig,
     DCGenStats,
@@ -20,12 +29,7 @@ from .ordered import (
     OrderedStats,
     prompts_digest,
 )
-from .parallel import (
-    execute_batches_parallel,
-    execute_free_chunks_parallel,
-    free_chunks,
-    generate_free_parallel,
-)
+from .parallel import execute_parallel
 from .sampler import (
     SamplerConfig,
     choose_constrained,
@@ -34,8 +38,15 @@ from .sampler import (
     sample,
     sample_constrained,
 )
+from .strategies import FAMILIES, STRATEGIES, CampaignOptions, Strategy, load_model
 
 __all__ = [
+    "Campaign",
+    "CampaignPlan",
+    "free_chunks",
+    "generate_sampled",
+    "run_campaign",
+    "run_free_chunk",
     "DCGenConfig",
     "DCGenStats",
     "DCGenerator",
@@ -52,10 +63,12 @@ __all__ = [
     "OrderedPrompt",
     "OrderedStats",
     "prompts_digest",
-    "execute_batches_parallel",
-    "execute_free_chunks_parallel",
-    "free_chunks",
-    "generate_free_parallel",
+    "execute_parallel",
+    "FAMILIES",
+    "STRATEGIES",
+    "CampaignOptions",
+    "Strategy",
+    "load_model",
     "SamplerConfig",
     "choose_constrained",
     "constrained_distribution",

@@ -33,7 +33,6 @@ A run has two phases so leaves can execute anywhere:
 from __future__ import annotations
 
 import hashlib
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
@@ -41,8 +40,9 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 import numpy as np
 
 from .. import telemetry
-from ..runtime import Budget, RetryPolicy, RunJournal, maybe_fail
+from ..runtime import Budget, RetryPolicy, RunJournal
 from ..tokenizer.patterns import Pattern
+from .campaign import CampaignPlan, run_campaign
 from .sampler import (
     GEN_BATCH,
     SamplerConfig,
@@ -250,13 +250,14 @@ def execute_batch(
     model: "PagPassGPT",
     batch: LeafBatch,
     base_seed: int,
-    sampler: SamplerConfig,
+    sampler: Optional[SamplerConfig] = None,
 ) -> tuple[list[str], int]:
     """Run one leaf batch; returns ``(guesses in row order, model calls)``.
 
     Pure with respect to run state: everything it needs travels in the
     batch, so it executes identically in the serial loop and in a worker
-    process.
+    process — it is D&C-GEN's campaign task function.  ``sampler``
+    defaults to the model's.
 
     Priming is prefix-deduplicated: the shared ``<BOS> pattern <SEP>``
     prompt comes from the model's :class:`~repro.nn.PromptCache` (primed
@@ -279,6 +280,7 @@ def execute_batch(
         pattern=batch.slices[0][0].pattern,
         rows=batch.rows,
     ) as span:
+        sampler = sampler or model.sampler
         tokenizer = model.tokenizer
         vocab = tokenizer.vocab
         token_strs = vocab.token_array
@@ -431,52 +433,39 @@ class DCGenerator:
         work already journaled; a ``resume=True`` rerun then continues
         byte-identically.
         """
-        with telemetry.trace("campaign", kind="dcgen", requested=int(total)):
+        def plan() -> CampaignPlan:
             leaves = self.plan(total, pattern_probs)
             batches = build_batches(leaves, self.config.gen_batch)
-            costs = planned_execute_costs(batches)
-            telemetry.emit(
-                "campaign_plan",
-                kind="dcgen",
-                requested=int(total),
+            digest = plan_digest(leaves)
+            config = self.config
+            return CampaignPlan(
                 rows=sum(b.rows for b in batches),
-                n_tasks=len(batches),
-                plan=plan_digest(leaves),
-                threshold=int(self.config.threshold),
-                gen_batch=int(self.config.gen_batch),
-                workers=int(self.config.workers),
-                backend=self.model.inference.backend_name,
-                **costs,
+                header={"seed": int(seed), "total": int(total),
+                        "threshold": int(config.threshold),
+                        "gen_batch": int(config.gen_batch),
+                        "n_batches": len(batches), "plan": digest},
+                event={"n_tasks": len(batches), "plan": digest,
+                       "threshold": int(config.threshold),
+                       "gen_batch": int(config.gen_batch),
+                       "workers": int(config.workers),
+                       "backend": self.model.inference.backend_name,
+                       **planned_execute_costs(batches)},
+                tasks=batches,
+                run_task=execute_batch,
+                record_calls=True,
             )
-            owns_journal = False
-            if journal is not None and not isinstance(journal, RunJournal):
-                header = {
-                    "kind": "dcgen",
-                    "seed": int(seed),
-                    "total": int(total),
-                    "threshold": int(self.config.threshold),
-                    "gen_batch": int(self.config.gen_batch),
-                    "n_batches": len(batches),
-                    "plan": plan_digest(leaves),
-                }
-                telemetry.pin_trace(header)
-                journal = RunJournal.attach(journal, header, resume=resume)
-                owns_journal = True
-                # A resumed run rejoins the original run's trace so its
-                # spans extend the first attempt's tree; fresh runs
-                # adopt their own pinned ref (a no-op).
-                telemetry.rejoin_trace(journal.header.get(RunJournal.TRACE_HEADER_KEY))
-            try:
-                results = self._execute(batches, seed, journal, progress, budget)
-            finally:
-                if owns_journal:
-                    journal.close()
-            out: list[str] = []
-            for guesses, calls in results:
-                out.extend(guesses)
-                self.stats.model_calls += calls
-            self.stats.generated = len(out)
-            return out
+
+        results = run_campaign(
+            "dcgen", total, plan, self.model, seed=seed, workers=self.config.workers,
+            journal=journal, resume=resume, progress=progress, budget=budget,
+            policy=self.config.retry_policy(),
+        )
+        out: list[str] = []
+        for guesses, calls in results:
+            out.extend(guesses)
+            self.stats.model_calls += calls
+        self.stats.generated = len(out)
+        return out
 
     # ------------------------------------------------------------------
     # Divide phase
@@ -645,108 +634,3 @@ class DCGenerator:
                 self.stats.model_calls += 1
             out[start : start + len(chunk)] = constrained_distribution(logits, allowed)
         return out
-
-    # ------------------------------------------------------------------
-    # Execute phase
-    # ------------------------------------------------------------------
-    def _execute(
-        self,
-        batches: list[LeafBatch],
-        seed: int,
-        journal: Optional[RunJournal] = None,
-        progress: Optional[Callable[[int, int], None]] = None,
-        budget: Optional[Budget] = None,
-    ) -> list[tuple[list[str], int]]:
-        """Run all batches serially or on a pool, in batch order.
-
-        With a journal, batches already journaled are reused verbatim and
-        every fresh completion is journaled the moment it lands — the
-        crash window never costs more than the batch in flight.  The
-        ``budget`` is polled right after each batch's journal write (a
-        durable boundary) and while waiting for worker results.
-        """
-        results: dict[int, tuple[list[str], int]] = {}
-        if journal is not None:
-            for batch_id, payload in journal.completed("leaf_batch").items():
-                if 0 <= batch_id < len(batches):
-                    results[batch_id] = (
-                        list(payload["guesses"]),
-                        int(payload["model_calls"]),
-                    )
-        pending = [b for b in batches if b.batch_id not in results]
-        total_rows = sum(b.rows for b in batches)
-        done_rows = sum(len(guesses) for guesses, _ in results.values())
-        done_calls = sum(calls for _, calls in results.values())
-        if results:
-            telemetry.emit(
-                "campaign_resume",
-                tasks=len(results),
-                guesses=done_rows,
-                model_calls=done_calls,
-            )
-        if progress is not None:
-            progress(done_rows, total_rows)
-
-        def current_progress() -> dict:
-            return {
-                "guesses": done_rows,
-                "model_calls": done_calls,
-                "tasks": len(results),
-                "n_tasks": len(batches),
-            }
-
-        def on_result(position: int, value) -> None:
-            nonlocal done_rows, done_calls
-            batch = pending[position]
-            guesses, calls = value
-            maybe_fail("leaf_batch")
-            if journal is not None:
-                journal.record(
-                    "leaf_batch",
-                    batch.batch_id,
-                    {"guesses": list(guesses), "model_calls": int(calls)},
-                )
-            results[batch.batch_id] = (guesses, calls)
-            done_rows += len(guesses)
-            done_calls += calls
-            if progress is not None:
-                progress(done_rows, total_rows)
-            if budget is not None:
-                budget.poll(**current_progress())
-
-        if budget is not None:
-            budget.poll(**current_progress())
-        if self.config.workers > 1 and len(pending) > 1:
-            from .parallel import execute_batches_parallel
-
-            try:
-                execute_batches_parallel(
-                    self.model,
-                    pending,
-                    seed,
-                    self.config.workers,
-                    policy=self.config.retry_policy(),
-                    on_result=on_result,
-                    stop=None if budget is None else budget.stopper(current_progress),
-                )
-            except Exception as exc:
-                warnings.warn(
-                    f"parallel D&C-GEN execution failed ({exc!r}); "
-                    "falling back to serial execution",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-                for position, batch in enumerate(pending):
-                    if batch.batch_id in results:
-                        continue  # completed (and journaled) before the failure
-                    on_result(
-                        position,
-                        execute_batch(self.model, batch, seed, self.model.sampler),
-                    )
-        else:
-            for position, batch in enumerate(pending):
-                on_result(
-                    position,
-                    execute_batch(self.model, batch, seed, self.model.sampler),
-                )
-        return [results[batch.batch_id] for batch in batches]

@@ -75,8 +75,9 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 import numpy as np
 
 from .. import telemetry
-from ..runtime import Budget, RunJournal, maybe_fail
+from ..runtime import Budget, RunJournal
 from ..tokenizer.patterns import Pattern
+from .campaign import Campaign, CampaignPlan, run_campaign
 from .sampler import constrained_distribution
 
 if TYPE_CHECKING:  # imported lazily to avoid a models <-> generation cycle
@@ -302,46 +303,30 @@ class OrderedGenerator:
         """
         if n <= 0:
             return []
-        with telemetry.trace("campaign", kind="ordered", requested=int(n)):
-            telemetry.emit(
-                "campaign_plan",
-                kind="ordered",
-                requested=int(n),
+        config = self.config
+
+        def plan() -> CampaignPlan:
+            return CampaignPlan(
                 rows=int(n),
-                beam_width=int(self.config.beam_width),
-                max_frontier=int(self.config.max_frontier),
-                prompts=len(self.prompts),
-                backend=self.model.inference.backend_name,
+                header={"n": int(n), "beam_width": int(config.beam_width),
+                        "max_frontier": int(config.max_frontier),
+                        "prompts": prompts_digest(self.prompts)},
+                event={"beam_width": int(config.beam_width),
+                       "max_frontier": int(config.max_frontier),
+                       "prompts": len(self.prompts),
+                       "backend": self.model.inference.backend_name},
             )
-            owns_journal = False
-            if journal is not None and not isinstance(journal, RunJournal):
-                header = {
-                    "kind": "ordered",
-                    "n": int(n),
-                    "beam_width": int(self.config.beam_width),
-                    "max_frontier": int(self.config.max_frontier),
-                    "prompts": prompts_digest(self.prompts),
-                }
-                telemetry.pin_trace(header)
-                journal = RunJournal.attach(journal, header, resume=resume)
-                owns_journal = True
-                telemetry.rejoin_trace(journal.header.get(RunJournal.TRACE_HEADER_KEY))
-            try:
-                return self._run(n, journal, progress, budget)
-            finally:
-                if owns_journal:
-                    journal.close()
+
+        return run_campaign(
+            "ordered", n, plan, self.model, journal=journal, resume=resume,
+            progress=progress, budget=budget,
+            execute=lambda campaign: self._run(n, campaign),
+        )
 
     # ------------------------------------------------------------------
     # Enumeration core
     # ------------------------------------------------------------------
-    def _run(
-        self,
-        n: int,
-        journal: Optional[RunJournal],
-        progress: Optional[Callable[[int, int], None]],
-        budget: Optional[Budget] = None,
-    ) -> list[tuple[str, float]]:
+    def _run(self, n: int, campaign: Campaign) -> list[tuple[str, float]]:
         self.stats = OrderedStats()
         stats = self.stats
         registry = telemetry.get_registry()
@@ -351,7 +336,8 @@ class OrderedGenerator:
         delta: list[list] = []  # [password, neg_logprob] since last snapshot
         snapshot_id = 0
 
-        restored = journal.completed("frontier") if journal is not None else {}
+        journal = campaign.journal
+        restored = campaign.completed()
         if restored:
             for sid in sorted(restored):
                 emitted.extend(
@@ -366,12 +352,7 @@ class OrderedGenerator:
             seq = int(last["seq"])
             self.stats = stats = OrderedStats.from_dict(last["stats"])
             snapshot_id = max(restored) + 1
-            telemetry.emit(
-                "campaign_resume",
-                tasks=len(restored),
-                guesses=len(emitted),
-                model_calls=int(stats.model_calls),
-            )
+            campaign.resumed(len(restored), len(emitted), int(stats.model_calls))
         else:
             for index, prompt in enumerate(self.prompts):
                 if math.isfinite(prompt.prior_neg_logprob):
@@ -379,8 +360,7 @@ class OrderedGenerator:
                     seq += 1
             heapq.heapify(heap)
 
-        if progress is not None:
-            progress(len(emitted), n)
+        campaign.report(len(emitted), n)
 
         while len(emitted) < n and heap:
             with telemetry.trace(
@@ -422,22 +402,19 @@ class OrderedGenerator:
                     guesses=len(emitted) - emit0,
                     model_calls=stats.model_calls - calls0,
                 )
-            if progress is not None:
-                progress(len(emitted), n)
+            campaign.report(len(emitted), n)
             if journal is not None and stats.rounds % self.config.snapshot_every == 0:
-                snapshot_id = self._snapshot(journal, snapshot_id, heap, seq, delta)
+                snapshot_id = self._snapshot(campaign, snapshot_id, heap, seq, delta)
                 delta = []
-            if budget is not None and budget.exceeded(
-                guesses=len(emitted), model_calls=stats.model_calls
-            ):
+            if campaign.exceeded(guesses=len(emitted), model_calls=stats.model_calls):
                 # Graceful stop at a round boundary: flush the pending
                 # delta as an extra snapshot first, so the interrupted
                 # round's guesses are durable before the raise — resume
                 # picks up exactly here.
                 if journal is not None and delta:
-                    snapshot_id = self._snapshot(journal, snapshot_id, heap, seq, delta)
+                    snapshot_id = self._snapshot(campaign, snapshot_id, heap, seq, delta)
                     delta = []
-                budget.poll(
+                campaign.poll(
                     guesses=len(emitted),
                     model_calls=stats.model_calls,
                     rounds=stats.rounds,
@@ -450,7 +427,7 @@ class OrderedGenerator:
             )
         stats.emitted = len(emitted)
         if journal is not None and delta:
-            self._snapshot(journal, snapshot_id, heap, seq, delta)
+            self._snapshot(campaign, snapshot_id, heap, seq, delta)
         return emitted[:n]
 
     def _expand(self, batch: list[tuple], heap: list[tuple], seq: int) -> int:
@@ -547,7 +524,7 @@ class OrderedGenerator:
 
     def _snapshot(
         self,
-        journal: RunJournal,
+        campaign: Campaign,
         snapshot_id: int,
         heap: list[tuple],
         seq: int,
@@ -555,14 +532,12 @@ class OrderedGenerator:
     ) -> int:
         """Journal the full enumeration state; returns the next ordinal.
 
-        ``maybe_fail("frontier")`` sits before the write so the fault
-        harness can kill the run at an exact snapshot boundary
+        The campaign's ``maybe_fail("frontier")`` sits before the write so
+        the fault harness can kill the run at an exact snapshot boundary
         (``REPRO_FAULT=crash:frontier:K`` crashes before snapshot K+1,
         leaving K durable snapshots behind).
         """
-        maybe_fail("frontier")
-        journal.record(
-            "frontier",
+        campaign.record(
             snapshot_id,
             {
                 "round": int(self.stats.rounds),

@@ -1,11 +1,14 @@
-"""Multiprocess execution backend for generation leaf tasks.
+"""Multiprocess execution backend for campaign tasks.
 
 D&C-GEN's subtasks are non-overlapping (§III-C2), which makes leaf
 execution embarrassingly parallel — the paper runs it across 4 GPUs.
 Here the divide phase stays serial in the parent (it is model-bound and
 cheap), and the resulting :class:`~repro.generation.dcgen.LeafBatch`
-list is sharded across a process pool.  Free (trawling) generation
+list is sharded across a process pool.  Sampled (trawling) generation
 parallelises the same way, with ``gen_batch``-sized chunks as the unit.
+:func:`execute_parallel` takes any task list plus the module-level
+``run_task(model, task, seed)`` the campaign runs serially
+(:mod:`repro.generation.campaign`).
 
 Because every leaf/chunk seeds its own rng from ``(base_seed, task_id)``,
 the merged stream is byte-identical to the serial path for any worker
@@ -51,17 +54,10 @@ import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
-
-import numpy as np
+from typing import Any, Callable, Optional, Sequence
 
 from .. import telemetry
 from ..runtime import RetryPolicy, maybe_fail, signals, supervised_map
-from .dcgen import LeafBatch, execute_batch
-from .sampler import GEN_BATCH, SamplerConfig
-
-if TYPE_CHECKING:  # imported lazily to avoid a models <-> generation cycle
-    from ..models.pagpassgpt import PagPassGPT
 
 #: Environment variable that makes every worker crash before its first
 #: task.  Used by the equivalence harness to test graceful fallback.
@@ -70,22 +66,17 @@ CRASH_ENV = "REPRO_PARALLEL_TEST_CRASH"
 
 @dataclass
 class _WorkerContext:
-    """Read-only state each worker needs: model, task list, seed."""
+    """Read-only state each worker needs: model, tasks, task fn, seed."""
 
-    model: "PagPassGPT"
+    model: Any
     tasks: Sequence
+    run_task: Callable[[Any, Any, int], Any]
     base_seed: int
-    sampler: SamplerConfig
 
 
 #: Set in the parent before forking (inherited copy-on-write) or rebuilt
 #: by :func:`_init_from_checkpoint` under non-fork start methods.
 _CTX: Optional[_WorkerContext] = None
-
-
-def _check_crash_hook() -> None:
-    if os.environ.get(CRASH_ENV):
-        raise RuntimeError(f"worker crash injected via {CRASH_ENV}")
 
 
 def _parent_telemetry_args() -> Optional[tuple[str, str, str, Optional[dict]]]:
@@ -127,52 +118,39 @@ def _init_fork_worker(tele: Optional[tuple[str, str, str, Optional[dict]]]) -> N
     _init_worker_telemetry(tele)
 
 
-def _init_from_checkpoint(path, tokenizer, sampler, tasks, base_seed, tele=None) -> None:
+def _init_from_checkpoint(
+    path, model_cls, tokenizer, sampler, tasks, run_task, base_seed, tele=None
+) -> None:
     """Pool initializer for non-fork start methods.
 
     Rebuilds the model once per worker from an explicit weight blob (a
-    ``repro.nn.serialization`` npz checkpoint written by the parent).
+    ``repro.nn.serialization`` npz checkpoint written by the parent),
+    loaded with the parent model's own class.
     """
     global _CTX
-    from ..models.pagpassgpt import PagPassGPT
 
     signals.ignore_in_worker()
     _init_worker_telemetry(tele)
-    model = PagPassGPT.load(path)
+    model = model_cls.load(path)
     model.tokenizer = tokenizer
     model.sampler = sampler
-    _CTX = _WorkerContext(model=model, tasks=tasks, base_seed=base_seed, sampler=sampler)
+    _CTX = _WorkerContext(model=model, tasks=tasks, run_task=run_task, base_seed=base_seed)
 
 
-def _run_batch(index: int) -> tuple[list[str], int]:
-    """Worker body: execute one D&C-GEN leaf batch by index."""
-    _check_crash_hook()
-    maybe_fail("worker", index)
-    ctx = _CTX
-    assert ctx is not None, "worker context not initialised"
-    return execute_batch(ctx.model, ctx.tasks[index], ctx.base_seed, ctx.sampler)
-
-
-def _run_free_chunk(index: int) -> list[str]:
-    """Worker body: generate one free-generation chunk by index."""
-    _check_crash_hook()
-    maybe_fail("worker", index)
-    ctx = _CTX
-    assert ctx is not None, "worker context not initialised"
-    chunk_index, batch = ctx.tasks[index]
-    rng = np.random.default_rng((ctx.base_seed, chunk_index))
-    return ctx.model._generate_free_batch(batch, rng)
-
-
-def _guard(runner: Callable[[int], object], index: int) -> tuple[int, bool, object]:
-    """Run one task, converting any raise into a per-task failure record.
+def _run_task(index: int) -> tuple[int, bool, object]:
+    """Worker body: run one task by index, reporting any raise per task.
 
     Catching ``BaseException`` is deliberate: injected faults derive from
     it, and the supervisor must be able to attribute *any* worker failure
     to its task index rather than lose the whole map.
     """
     try:
-        result = (index, True, runner(index))
+        if os.environ.get(CRASH_ENV):
+            raise RuntimeError(f"worker crash injected via {CRASH_ENV}")
+        maybe_fail("worker", index)
+        ctx = _CTX
+        assert ctx is not None, "worker context not initialised"
+        result = (index, True, ctx.run_task(ctx.model, ctx.tasks[index], ctx.base_seed))
     except BaseException as exc:  # noqa: BLE001 — see docstring
         return (index, False, f"{type(exc).__name__}: {exc}")
     # Refresh this worker's final metrics snapshot after every completed
@@ -184,28 +162,27 @@ def _guard(runner: Callable[[int], object], index: int) -> tuple[int, bool, obje
     return result
 
 
-def _guarded_batch(index: int) -> tuple[int, bool, object]:
-    return _guard(_run_batch, index)
-
-
-def _guarded_free(index: int) -> tuple[int, bool, object]:
-    return _guard(_run_free_chunk, index)
-
-
-def _run_pool(
-    model: "PagPassGPT",
+def execute_parallel(
+    model,
     tasks: Sequence,
+    run_task: Callable[[Any, Any, int], Any],
     base_seed: int,
     workers: int,
-    guarded: Callable[[int], tuple[int, bool, object]],
-    serial_fn: Callable[[int], object],
     start_method: Optional[str] = None,
     policy: Optional[RetryPolicy] = None,
     on_result: Optional[Callable[[int, object], None]] = None,
-    context: str = "parallel execution",
     stop: Optional[Callable[[], None]] = None,
+    context: str = "parallel execution",
 ) -> list:
-    """Supervised map of ``guarded`` over task indices; results in task order.
+    """Supervised map of ``run_task(model, task, base_seed)`` over ``tasks``.
+
+    Returns the results in task order — the same list the serial loop
+    produces.  An empty ``tasks`` returns ``[]`` without spinning up a
+    pool.  Individual task failures are retried per
+    :class:`~repro.runtime.retry.RetryPolicy` and fall back to in-parent
+    serial execution as a last resort; ``on_result(index, result)``
+    fires once per task as it completes (unordered).  ``run_task`` must
+    be a module-level function so spawned workers can unpickle it.
 
     ``stop`` (e.g. ``Budget.stopper``) is polled while waiting on worker
     results so deadlines and graceful-shutdown signals interrupt the map
@@ -228,29 +205,30 @@ def _run_pool(
     # kernel cache instead (the env var travels with them).
     model.inference
     model.prompt_cache
-    sampler = model.sampler
     workers = max(1, min(workers, len(tasks)))
-
     tele = _parent_telemetry_args()
+
+    def run(factory) -> list:
+        return supervised_map(
+            factory,
+            _run_task,
+            len(tasks),
+            policy=policy,
+            serial_fn=lambda i: run_task(model, tasks[i], base_seed),
+            on_result=on_result,
+            context=context,
+            stop=stop,
+        )
 
     if start_method == "fork":
         ctx = mp.get_context("fork")
         _CTX = _WorkerContext(
-            model=model, tasks=tuple(tasks), base_seed=base_seed, sampler=sampler
+            model=model, tasks=tuple(tasks), run_task=run_task, base_seed=base_seed
         )
         try:
-            return supervised_map(
-                lambda: ctx.Pool(
-                    processes=workers, initializer=_init_fork_worker, initargs=(tele,)
-                ),
-                guarded,
-                len(tasks),
-                policy=policy,
-                serial_fn=serial_fn,
-                on_result=on_result,
-                context=context,
-                stop=stop,
-            )
+            return run(lambda: ctx.Pool(
+                processes=workers, initializer=_init_fork_worker, initargs=(tele,)
+            ))
         finally:
             _CTX = None
 
@@ -261,120 +239,8 @@ def _run_pool(
     with tempfile.TemporaryDirectory(prefix="repro-parallel-") as tmp:
         path = Path(tmp) / "weights.npz"
         model.save(path)
-        factory = lambda: ctx.Pool(  # noqa: E731
-            processes=workers,
-            initializer=_init_from_checkpoint,
-            initargs=(str(path), model.tokenizer, sampler, tuple(tasks), base_seed, tele),
-        )
-        return supervised_map(
-            factory,
-            guarded,
-            len(tasks),
-            policy=policy,
-            serial_fn=serial_fn,
-            on_result=on_result,
-            context=context,
-            stop=stop,
-        )
-
-
-# ----------------------------------------------------------------------
-# Public entry points
-# ----------------------------------------------------------------------
-
-def execute_batches_parallel(
-    model: "PagPassGPT",
-    batches: Sequence[LeafBatch],
-    base_seed: int,
-    workers: int,
-    start_method: Optional[str] = None,
-    policy: Optional[RetryPolicy] = None,
-    on_result: Optional[Callable[[int, object], None]] = None,
-    stop: Optional[Callable[[], None]] = None,
-) -> list[tuple[list[str], int]]:
-    """Execute D&C-GEN leaf batches on a supervised process pool.
-
-    Returns per-batch ``(guesses, model_calls)`` in batch order — the
-    same list the serial loop produces.  An empty ``batches`` returns
-    ``[]`` without spinning up a pool.  Individual task failures are
-    retried per :class:`~repro.runtime.retry.RetryPolicy` and fall back
-    to in-parent serial execution as a last resort; ``on_result(index,
-    result)`` fires once per batch as it completes (unordered).
-    """
-    return _run_pool(
-        model,
-        batches,
-        base_seed,
-        workers,
-        _guarded_batch,
-        lambda i: execute_batch(model, batches[i], base_seed, model.sampler),
-        start_method,
-        policy=policy,
-        on_result=on_result,
-        context="parallel D&C-GEN execution",
-        stop=stop,
-    )
-
-
-def free_chunks(n: int, gen_batch: int = GEN_BATCH) -> list[tuple[int, int]]:
-    """``(chunk_index, rows)`` pairs covering ``n`` free-generation rows."""
-    return [
-        (i, min(gen_batch, n - start))
-        for i, start in enumerate(range(0, n, gen_batch))
-    ]
-
-
-def execute_free_chunks_parallel(
-    model: "PagPassGPT",
-    chunks: Sequence[tuple[int, int]],
-    base_seed: int,
-    workers: int,
-    start_method: Optional[str] = None,
-    policy: Optional[RetryPolicy] = None,
-    on_result: Optional[Callable[[int, object], None]] = None,
-    stop: Optional[Callable[[], None]] = None,
-) -> list[list[str]]:
-    """Run ``(chunk_index, rows)`` free-generation chunks on a pool.
-
-    Returns per-chunk guess lists in the order of ``chunks`` (which may
-    be a resumed run's pending subset).  Empty input returns ``[]``
-    without a pool.
-    """
-    def serial(i: int) -> list[str]:
-        chunk_index, rows = chunks[i]
-        return model._generate_free_batch(
-            rows, np.random.default_rng((base_seed, chunk_index))
-        )
-
-    return _run_pool(
-        model,
-        chunks,
-        base_seed,
-        workers,
-        _guarded_free,
-        serial,
-        start_method,
-        policy=policy,
-        on_result=on_result,
-        context="parallel free generation",
-        stop=stop,
-    )
-
-
-def generate_free_parallel(
-    model: "PagPassGPT",
-    n: int,
-    base_seed: int,
-    workers: int,
-    start_method: Optional[str] = None,
-    policy: Optional[RetryPolicy] = None,
-) -> list[str]:
-    """Free (trawling) generation with chunks sharded across a pool.
-
-    ``n <= 0`` returns ``[]`` without spinning up a pool.
-    """
-    chunks = free_chunks(n) if n > 0 else []
-    results = execute_free_chunks_parallel(
-        model, chunks, base_seed, workers, start_method, policy=policy
-    )
-    return [pw for chunk in results for pw in chunk]
+        initargs = (str(path), type(model), model.tokenizer, model.sampler,
+                    tuple(tasks), run_task, base_seed, tele)
+        return run(lambda: ctx.Pool(
+            processes=workers, initializer=_init_from_checkpoint, initargs=initargs
+        ))

@@ -15,17 +15,15 @@ Generation:
 
 from __future__ import annotations
 
-import warnings
 from pathlib import Path
 from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .. import telemetry
 from ..datasets.corpus import PasswordCorpus
 from ..generation.sampler import GEN_BATCH, SamplerConfig, sample_constrained, sample_masked
 from ..nn import GPT2Config, GPT2Inference, GPT2Model, PromptCache
-from ..runtime import Budget, RunJournal, maybe_fail
+from ..runtime import Budget, RunJournal
 from ..tokenizer.patterns import Pattern
 from ..tokenizer.tokenizer import PasswordTokenizer
 from ..training import TrainConfig, TrainHistory, Trainer
@@ -231,19 +229,9 @@ class PagPassGPT(PatternGuidedGuesser):
         journal: Optional[Union[str, Path, RunJournal]] = None,
         resume: bool = False,
         progress: Optional[Callable[[int, int], None]] = None,
-        strategy: str = "sampled",
-        ordered_config=None,
         budget: Optional[Budget] = None,
     ) -> list[str]:
         """Trawling approach 1: feed only ``<BOS>``, model writes the rest.
-
-        ``strategy`` selects the decode backend: ``"sampled"`` (default)
-        draws stochastically as described below; ``"ordered"`` runs the
-        best-first enumerator (:class:`~repro.generation.OrderedGenerator`
-        over the fitted S_p mixture) and returns the ``n`` most probable
-        passwords in non-increasing probability order — deterministic, so
-        ``seed``/``workers`` are ignored.  ``ordered_config`` optionally
-        passes an :class:`~repro.generation.OrderedConfig`.
 
         Decoding is *grammar-constrained* to the training rule format
         ``pattern <SEP> password <EOS>``: during the pattern phase only
@@ -254,161 +242,30 @@ class PagPassGPT(PatternGuidedGuesser):
         conforms); for the scaled-down models it removes decode artifacts
         from never-trained tokens such as ``<UNK>``/``<PAD>``.
 
-        Each ``GEN_BATCH`` chunk draws its randomness from
-        ``(seed, chunk_index)``, so the stream is identical for any
-        ``workers`` count; ``workers > 1`` shards chunks across a
-        supervised process pool (:mod:`repro.generation.parallel`) where
-        a failed or hung chunk is retried without discarding completed
-        ones.  ``journal`` (path or open :class:`RunJournal`) makes the
+        This is the ``sampled`` strategy's campaign
+        (:func:`~repro.generation.campaign.generate_sampled`): each
+        ``GEN_BATCH`` chunk draws its randomness from ``(seed,
+        chunk_index)``, so the stream is identical for any ``workers``
+        count; ``workers > 1`` shards chunks across a supervised process
+        pool.  ``journal`` (path or open :class:`RunJournal`) makes the
         run resumable: with ``resume=True`` journaled chunks are reused
         and the merged stream is byte-identical to an uninterrupted run.
-
         ``progress(done_rows, total_rows)`` fires after every completed
-        chunk; with an active telemetry session the run emits
-        ``campaign_plan`` / ``campaign_resume`` events and a
-        ``campaign`` span, mirroring D&C-GEN campaigns.
-
-        ``budget`` (a :class:`~repro.runtime.Budget`) is polled after
-        every durable chunk/round boundary, converting deadlines, guess
+        chunk, and ``budget`` (a :class:`~repro.runtime.Budget`) is
+        polled after every durable chunk, converting deadlines, guess
         quotas, and graceful-shutdown signals into a
         :class:`~repro.runtime.CampaignInterrupted` whose completed work
         is already journaled.
         """
+        from ..generation.campaign import generate_sampled
+
         self._require_fitted(self._fitted)
-        if strategy not in ("sampled", "ordered"):
-            raise ValueError(f"unknown strategy {strategy!r}; use 'sampled' or 'ordered'")
-        if n <= 0:
-            return []
-        if strategy == "ordered":
-            from ..generation.ordered import OrderedConfig, OrderedGenerator
+        return generate_sampled(
+            self, n, seed, workers, journal, resume, progress, budget
+        )
 
-            gen = OrderedGenerator.for_patterns(
-                self, config=ordered_config or OrderedConfig()
-            )
-            return gen.generate(
-                n, journal=journal, resume=resume, progress=progress, budget=budget
-            )
-        from ..generation.parallel import execute_free_chunks_parallel, free_chunks
-
-        with telemetry.trace("campaign", kind="free", requested=int(n)):
-            chunks = free_chunks(n)
-            telemetry.emit(
-                "campaign_plan",
-                kind="free",
-                requested=int(n),
-                rows=int(n),
-                n_tasks=len(chunks),
-                gen_batch=int(GEN_BATCH),
-                workers=int(workers),
-                backend=self.inference.backend_name,
-            )
-            # Warm the <BOS> prompt before any dispatch so forked workers
-            # inherit the primed entry copy-on-write instead of re-priming.
-            self.prompt_cache.lookup(np.array([self.tokenizer.vocab.bos_id], dtype=np.int64))
-            owns_journal = False
-            if journal is not None and not isinstance(journal, RunJournal):
-                header = {"kind": "free", "seed": int(seed), "n": int(n),
-                          "gen_batch": int(GEN_BATCH), "n_chunks": len(chunks)}
-                telemetry.pin_trace(header)
-                journal = RunJournal.attach(journal, header, resume=resume)
-                owns_journal = True
-                telemetry.rejoin_trace(journal.header.get(RunJournal.TRACE_HEADER_KEY))
-            try:
-                return self._generate_free(
-                    chunks, seed, workers, journal, progress, budget
-                )
-            finally:
-                if owns_journal:
-                    journal.close()
-
-    def _generate_free(
-        self,
-        chunks: list[tuple[int, int]],
-        seed: int,
-        workers: int,
-        journal: Optional[RunJournal],
-        progress: Optional[Callable[[int, int], None]],
-        budget: Optional[Budget] = None,
-    ) -> list[str]:
-        from ..generation.parallel import execute_free_chunks_parallel
-
-        results: dict[int, list[str]] = {}
-        if journal is not None:
-            for index, payload in journal.completed("free_chunk").items():
-                if 0 <= index < len(chunks):
-                    results[index] = list(payload["guesses"])
-        pending = [c for c in chunks if c[0] not in results]
-        total_rows = sum(rows for _, rows in chunks)
-        done_rows = sum(len(v) for v in results.values())
-        if results:
-            telemetry.emit(
-                "campaign_resume", tasks=len(results), guesses=done_rows, model_calls=0
-            )
-        if progress is not None:
-            progress(done_rows, total_rows)
-
-        def current_progress() -> dict:
-            return {
-                "guesses": done_rows,
-                "model_calls": 0,
-                "tasks": len(results),
-                "n_tasks": len(chunks),
-            }
-
-        def on_result(position: int, value: list[str]) -> None:
-            nonlocal done_rows
-            chunk_index = pending[position][0]
-            maybe_fail("free_chunk")
-            if journal is not None:
-                journal.record("free_chunk", chunk_index, {"guesses": list(value)})
-            results[chunk_index] = value
-            done_rows += len(value)
-            if progress is not None:
-                progress(done_rows, total_rows)
-            if budget is not None:
-                budget.poll(**current_progress())
-
-        if budget is not None:
-            budget.poll(**current_progress())
-        if workers > 1 and len(pending) > 1:
-            try:
-                execute_free_chunks_parallel(
-                    self, pending, seed, workers, on_result=on_result,
-                    stop=None if budget is None else budget.stopper(current_progress),
-                )
-            except Exception as exc:
-                warnings.warn(
-                    f"parallel free generation failed ({exc!r}); "
-                    "falling back to serial execution",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                for position, (index, batch) in enumerate(pending):
-                    if index in results:
-                        continue  # journaled before the failure
-                    on_result(
-                        position,
-                        self._generate_free_batch(
-                            batch, np.random.default_rng((seed, index))
-                        ),
-                    )
-        else:
-            for position, (index, batch) in enumerate(pending):
-                on_result(
-                    position,
-                    self._generate_free_batch(
-                        batch, np.random.default_rng((seed, index))
-                    ),
-                )
-        return [pw for index, _ in chunks for pw in results[index]]
-
-    def _generate_free_batch(self, batch: int, rng: np.random.Generator) -> list[str]:
-        with telemetry.trace("free.chunk", level="debug", rows=int(batch)) as span:
-            guesses = self._free_batch_body(batch, rng)
-            span.set(guesses=len(guesses), model_calls=0)
-            return guesses
-
-    def _free_batch_body(self, batch: int, rng: np.random.Generator) -> list[str]:
+    def sample_free_batch(self, batch: int, rng: np.random.Generator) -> list[str]:
+        """Decode ``batch`` free rows from ``<BOS>`` with one rng."""
         tokenizer = self.tokenizer
         vocab = tokenizer.vocab
         max_len = tokenizer.max_password_length

@@ -10,13 +10,15 @@ truncation artifact of Table III ("polic#10").
 
 from __future__ import annotations
 
-from typing import Optional
+from pathlib import Path
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 from ..datasets.corpus import PasswordCorpus
 from ..generation.sampler import GEN_BATCH, SamplerConfig, sample_constrained
 from ..nn import GPT2Config, GPT2Inference, GPT2Model, PromptCache
+from ..runtime import Budget, RunJournal
 from ..tokenizer.patterns import Pattern
 from ..tokenizer.tokenizer import PasswordOnlyTokenizer
 from ..training import TrainConfig, TrainHistory, Trainer
@@ -135,56 +137,53 @@ class PassGPT(PatternGuidedGuesser):
         self,
         n: int,
         seed: int = 0,
-        strategy: str = "sampled",
-        ordered_config=None,
+        workers: int = 1,
+        journal: Optional[Union[str, Path, RunJournal]] = None,
+        resume: bool = False,
+        progress: Optional[Callable[[int, int], None]] = None,
+        budget: Optional[Budget] = None,
     ) -> list[str]:
         """Unconditional sampling from ``<BOS>`` until ``<EOS>``.
+
+        The ``sampled`` strategy's campaign, exactly as for
+        :meth:`PagPassGPT.generate <repro.models.PagPassGPT.generate>`:
+        ``(seed, chunk_index)`` randomness per ``GEN_BATCH`` chunk, so
+        ``workers``, ``journal``/``resume``, ``progress`` and ``budget``
+        behave the same and the stream does not depend on them.
+        """
+        from ..generation.campaign import generate_sampled
+
+        self._require_fitted(self._fitted)
+        return generate_sampled(
+            self, n, seed, workers, journal, resume, progress, budget
+        )
+
+    def sample_free_batch(self, batch: int, rng: np.random.Generator) -> list[str]:
+        """Decode ``batch`` rows from ``<BOS>`` with one rng.
 
         Sampling is restricted to character tokens plus ``<EOS>``: the
         shared vocabulary also contains pattern tokens this model never
         trains on, whose random-init logits would otherwise pollute the
         decode (a no-op for a converged model).
-
-        ``strategy="ordered"`` switches to the deterministic best-first
-        enumerator (:class:`~repro.generation.OrderedGenerator` in
-        unconditional mode): the ``n`` most probable passwords, most
-        probable first, with ``seed`` ignored.
         """
-        self._require_fitted(self._fitted)
-        if strategy not in ("sampled", "ordered"):
-            raise ValueError(f"unknown strategy {strategy!r}; use 'sampled' or 'ordered'")
-        if n <= 0:
-            return []
-        if strategy == "ordered":
-            from ..generation.ordered import OrderedConfig, OrderedGenerator
-
-            gen = OrderedGenerator.unconditional(
-                self, config=ordered_config or OrderedConfig()
-            )
-            return gen.generate(n)
-        rng = np.random.default_rng(seed)
         vocab = self.tokenizer.vocab
         allowed = np.concatenate(
             [np.array([vocab.eos_id], dtype=np.int64), np.array(vocab.char_ids, dtype=np.int64)]
         )
-        out: list[str] = []
         max_steps = self.model_config.block_size - 1
         bos = np.array([vocab.bos_id], dtype=np.int64)
-        for start in range(0, n, GEN_BATCH):
-            batch = min(GEN_BATCH, n - start)
-            logits, cache = self.prompt_cache.expand(bos, batch)
-            sequences = np.full((batch, max_steps), vocab.pad_id, dtype=np.int64)
-            alive = np.ones(batch, dtype=bool)
-            for step in range(max_steps):
-                chosen = sample_constrained(logits, allowed, rng, self.sampler)
-                chosen = np.where(alive, chosen, vocab.eos_id)
-                sequences[:, step] = chosen
-                alive &= chosen != vocab.eos_id
-                if not alive.any() or step + 1 == max_steps:
-                    break
-                logits = self.inference.step(chosen, cache)
-            out.extend(self.tokenizer.decode(row) for row in sequences)
-        return out
+        logits, cache = self.prompt_cache.expand(bos, batch)
+        sequences = np.full((batch, max_steps), vocab.pad_id, dtype=np.int64)
+        alive = np.ones(batch, dtype=bool)
+        for step in range(max_steps):
+            chosen = sample_constrained(logits, allowed, rng, self.sampler)
+            chosen = np.where(alive, chosen, vocab.eos_id)
+            sequences[:, step] = chosen
+            alive &= chosen != vocab.eos_id
+            if not alive.any() or step + 1 == max_steps:
+                break
+            logits = self.inference.step(chosen, cache)
+        return [self.tokenizer.decode(row) for row in sequences]
 
     def generate_with_pattern(self, pattern: Pattern, n: int, seed: int = 0) -> list[str]:
         """Guided generation by per-step token filtering (the PassGPT way)."""

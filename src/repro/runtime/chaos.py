@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
 
+from ..generation.strategies import STRATEGIES
 from . import faults, signals
 from .atomic import DiskFullError
 from .faults import FAULT_ENV, FAULT_STATE_ENV, HANG_SECONDS_ENV, InjectedFault, corrupt_file
@@ -137,7 +138,7 @@ def _fault_menu(strategy: str, workers: int) -> list[str]:
     path (``workers > 1``).  ``corrupt_tail`` is applied by the harness
     to the journal a crash leaves behind.
     """
-    site = {"sampled": "free_chunk", "dcgen": "leaf_batch", "ordered": "frontier"}[strategy]
+    site = STRATEGIES[strategy].record
     menu = [
         f"crash:{site}:K",
         f"signal:{site}:K",
@@ -275,10 +276,7 @@ def run_case(
     if case.fault == "corrupt_tail":
         # Tear the tail of whatever journal a crash leaves behind: crash
         # first (deterministic site), then corrupt the file.
-        site = {"sampled": "free_chunk", "dcgen": "leaf_batch", "ordered": "frontier"}[
-            case.strategy
-        ]
-        directive = f"crash:{site}:1"
+        directive = f"crash:{STRATEGIES[case.strategy].record}:1"
     with _env(**{
         FAULT_ENV: directive,
         FAULT_STATE_ENV: str(state_dir),
@@ -358,7 +356,7 @@ def run_chaos(
     the acceptance sweep uses ≥ 20, the CI smoke 1-2.  ``n`` overrides
     the per-strategy guess budget (tests use tiny budgets).
     """
-    strategies = strategies or ["sampled", "dcgen", "ordered"]
+    strategies = strategies or list(STRATEGIES)
     workers_list = workers_list or [1, 2]
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)

@@ -18,7 +18,7 @@ Layers:
 """
 
 from .admission import AdmissionController, TokenBucket
-from .core import CampaignServer, ServerConfig, load_checkpoint
+from .core import CampaignServer, ServerConfig
 from .jobs import Job, JobStore
 from .protocol import (
     RESUMABLE_REASONS,
@@ -33,7 +33,6 @@ __all__ = [
     "TokenBucket",
     "CampaignServer",
     "ServerConfig",
-    "load_checkpoint",
     "Job",
     "JobStore",
     "RESUMABLE_REASONS",

@@ -42,9 +42,9 @@ from typing import Optional
 
 from .. import telemetry
 from ..evaluation import hit_rate, repeat_rate
-from ..generation import DCGenConfig, DCGenerator
+from ..generation import FAMILIES, STRATEGIES, CampaignOptions, load_model
 from ..models import PagPassGPT, PassGPT
-from ..nn import CheckpointError
+from ..nn import CheckpointError, read_checkpoint_meta
 from ..runtime import (
     Budget,
     CampaignInterrupted,
@@ -60,14 +60,6 @@ from .protocol import CampaignSpec, RequestError
 GUESSES_FILE = "guesses.txt"
 JOB_JOURNAL = "run.journal.jsonl"
 JOB_TELEMETRY_DIR = "tele"
-
-
-def load_checkpoint(path: str | Path) -> PagPassGPT | PassGPT:
-    """Load whichever GPT model kind the checkpoint holds."""
-    try:
-        return PagPassGPT.load(path)
-    except ValueError:
-        return PassGPT.load(path)
 
 
 @dataclass
@@ -106,7 +98,7 @@ class _ModelSlots:
             cache = self._local.models = {}
         model = cache.get(path)
         if model is None:
-            model = cache[path] = load_checkpoint(path)
+            model = cache[path] = load_model(path)
         return model
 
 
@@ -146,6 +138,7 @@ class CampaignServer:
             max_workers=config.fleet, thread_name_prefix="fleet"
         )
         self._http: Optional[asyncio.base_events.Server] = None
+        self._default_family: Optional[str] = None
         self._registry = telemetry.get_registry()
 
     # ------------------------------------------------------------------
@@ -157,9 +150,10 @@ class CampaignServer:
 
         # Fail fast on an unusable default checkpoint (CheckpointError
         # propagates to the CLI as exit 2) and warm slot 0's cache.
-        await asyncio.get_running_loop().run_in_executor(
+        default = await asyncio.get_running_loop().run_in_executor(
             self._executor, self.models.get, None
         )
+        self._default_family = default.name
         self._drain_event = asyncio.Event()
         recovered = self.store.to_recover()
         for job in recovered:
@@ -237,12 +231,29 @@ class CampaignServer:
     # ------------------------------------------------------------------
     # Submission (event loop only)
     # ------------------------------------------------------------------
+    def _check_family(self, spec: CampaignSpec) -> None:
+        """Refuse (400) a strategy the checkpoint's model family cannot run."""
+        strategy = STRATEGIES[spec.strategy]
+        if strategy.families == FAMILIES:
+            return  # runs on anything; skip reading the checkpoint
+        family = self._default_family
+        if spec.checkpoint is not None:
+            try:
+                family = read_checkpoint_meta(spec.checkpoint).get("kind")
+            except CheckpointError:
+                return  # unreadable: the job fails with a typed error when it runs
+        try:
+            strategy.check(family)
+        except ValueError as exc:
+            raise RequestError(400, "invalid_request", str(exc)) from None
+
     def _admit(self, spec: CampaignSpec, trace: Optional[dict] = None) -> Job:
-        if spec.kind == "generate" and spec.checkpoint is not None:
-            if not Path(spec.checkpoint).exists():
+        if spec.kind == "generate":
+            if spec.checkpoint is not None and not Path(spec.checkpoint).exists():
                 raise RequestError(
                     400, "invalid_request", f"checkpoint {spec.checkpoint!r} not found"
                 )
+            self._check_family(spec)
         queued = self.store.queued_by_tenant()
         self.admission.admit(
             spec.tenant,
@@ -414,7 +425,10 @@ class CampaignServer:
                 context=telemetry.TraceContext.from_dict(job.trace),
             )
         try:
-            guesses = self._dispatch(model, spec, journal, resume, progress, budget)
+            guesses, _ = STRATEGIES[spec.strategy].run(model, spec.n, CampaignOptions(
+                seed=spec.seed, workers=spec.workers, threshold=spec.threshold,
+                journal=journal, resume=resume, progress=progress, budget=budget,
+            ))
         finally:
             if session_dir is not None:
                 telemetry.end_session()
@@ -422,31 +436,6 @@ class CampaignServer:
         atomic_write_text(out, "\n".join(guesses) + "\n")
         journal.unlink(missing_ok=True)  # campaign finished; journal spent
         return "done", {"guesses": len(guesses), "resumed": resume}
-
-    @staticmethod
-    def _dispatch(model, spec: CampaignSpec, journal, resume, progress, budget):
-        if spec.strategy == "dcgen":
-            if not isinstance(model, PagPassGPT):
-                raise RequestError(400, "invalid_request",
-                                   "strategy dcgen requires a PagPassGPT checkpoint")
-            generator = DCGenerator(
-                model, DCGenConfig(threshold=spec.threshold, workers=spec.workers)
-            )
-            return generator.generate(
-                spec.n, seed=spec.seed, journal=journal, resume=resume,
-                progress=progress, budget=budget,
-            )
-        if spec.strategy == "ordered":
-            return model.generate(
-                spec.n, strategy="ordered", journal=journal, resume=resume,
-                progress=progress, budget=budget,
-            )
-        if isinstance(model, PagPassGPT):
-            return model.generate(
-                spec.n, seed=spec.seed, workers=spec.workers, journal=journal,
-                resume=resume, progress=progress, budget=budget,
-            )
-        return model.generate(spec.n, seed=spec.seed)
 
     # ------------------------------------------------------------------
     # Introspection (``/status`` and ``/metrics``)

@@ -28,6 +28,7 @@ import re
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
+from ..generation.strategies import STRATEGIES
 from ..runtime import Budget
 
 #: Request lifecycle states, in nominal order.
@@ -41,8 +42,6 @@ TERMINAL_STATES = ("done", "failed", "interrupted")
 #: Budget-interruption reasons that a restarted/resumed server continues;
 #: everything else (deadline, quotas) spent the request's own budget.
 RESUMABLE_REASONS = ("signal",)
-
-GENERATE_STRATEGIES = ("sampled", "dcgen", "ordered")
 
 _TENANT_RE = re.compile(r"^[A-Za-z0-9._-]{1,64}$")
 
@@ -158,8 +157,8 @@ class CampaignSpec:
             if n is None:
                 raise _bad("n (number of guesses) is required")
             strategy = payload.pop("strategy", "sampled")
-            if strategy not in GENERATE_STRATEGIES:
-                raise _bad(f"strategy must be one of {GENERATE_STRATEGIES}")
+            if strategy not in STRATEGIES:
+                raise _bad(f"strategy must be one of {tuple(STRATEGIES)}")
             checkpoint = payload.pop("checkpoint", None)
             if checkpoint is not None and not isinstance(checkpoint, str):
                 raise _bad("checkpoint must be a string path")

@@ -79,10 +79,13 @@ class Histogram:
     Bucket ``i`` counts observations with ``value <= 2**i`` (the last
     bucket is unbounded).  Bucket bounds are fixed at construction, so
     two runs observing the same values produce identical snapshots —
-    no adaptive resizing, no wall-clock.
+    no adaptive resizing, no wall-clock.  The observed ``min``/``max``
+    are tracked (not snapshotted) to clamp :meth:`quantile`.
     """
 
-    __slots__ = ("name", "labels", "bounds", "bucket_counts", "count", "total")
+    __slots__ = (
+        "name", "labels", "bounds", "bucket_counts", "count", "total", "min", "max"
+    )
 
     def __init__(self, name: str, max_exponent: int = 24, labels: Labels = None) -> None:
         self.name = name
@@ -93,10 +96,14 @@ class Histogram:
         self.bucket_counts = [0] * (len(self.bounds) + 1)
         self.count = 0
         self.total: Number = 0
+        self.min: Optional[Number] = None
+        self.max: Optional[Number] = None
 
     def observe(self, value: Number) -> None:
         self.count += 1
         self.total += value
+        self.min = value if self.min is None else min(self.min, value)
+        self.max = value if self.max is None else max(self.max, value)
         for i, bound in enumerate(self.bounds):
             if value <= bound:
                 self.bucket_counts[i] += 1
@@ -118,22 +125,24 @@ class Histogram:
 
         Standard Prometheus-style ``histogram_quantile``: find the
         bucket where the cumulative count crosses ``q * count`` and
-        interpolate linearly inside it.  Observations in the overflow
-        bucket clamp to the last finite bound (the estimate is then a
-        lower bound, exactly as Prometheus reports it).  Returns
-        ``None`` for an empty histogram.
+        interpolate linearly inside it.  The estimate is clamped into
+        the observed ``[min, max]``, so it never reports a value no
+        observation reached (a single observation is every quantile).
+        Returns ``None`` for an empty histogram.
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile must be in [0, 1], got {q!r}")
         if self.count == 0:
             return None
-        target = q * self.count
+        return float(min(max(self._interpolate(q * self.count), self.min), self.max))
+
+    def _interpolate(self, target: float) -> float:
         cumulative = 0
         for i, bucket_count in enumerate(self.bucket_counts):
             if not bucket_count:
                 continue
             if cumulative + bucket_count >= target:
-                if i >= len(self.bounds):  # overflow bucket: clamp
+                if i >= len(self.bounds):  # overflow bucket
                     return float(self.bounds[-1])
                 lower = float(self.bounds[i - 1]) if i > 0 else 0.0
                 upper = float(self.bounds[i])

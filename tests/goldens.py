@@ -39,6 +39,14 @@ SPEC = {
     "ordered": {"n": 120, "beam_width": 32, "max_frontier": 5000},
 }
 
+#: The PassGPT baseline's reference campaigns, kept apart from
+#: :data:`SPEC` so the fixture's original keys stay byte-identical.
+PASSGPT_SPEC = {
+    "model": {"dim": 64, "n_layers": 2, "n_heads": 4, "seed": 0},
+    "sampled": {"n": 700, "seed": 13},
+    "ordered": {"n": 120, "beam_width": 32, "max_frontier": 5000},
+}
+
 
 def build_model():
     """The fixed reference model: deterministic weights, hand-made S_p."""
@@ -60,6 +68,46 @@ def build_model():
     model._fitted = True
     model.pattern_probs = dict(SPEC["pattern_probs"])
     return model
+
+
+def build_passgpt():
+    """The fixed PassGPT reference model: deterministic weights."""
+    from repro.models import PassGPT
+    from repro.nn import GPT2Config
+
+    spec = PASSGPT_SPEC["model"]
+    model = PassGPT(
+        model_config=GPT2Config(
+            vocab_size=135,
+            block_size=16,
+            dim=spec["dim"],
+            n_layers=spec["n_layers"],
+            n_heads=spec["n_heads"],
+            dropout=0.0,
+        ),
+        seed=spec["seed"],
+    )
+    model._fitted = True
+    return model
+
+
+def generate_passgpt_streams(workers: int = 1) -> dict:
+    """PassGPT sampled + ordered streams via the strategy registry."""
+    from repro.generation import STRATEGIES, CampaignOptions, OrderedConfig
+
+    model = build_passgpt()
+    sampled = PASSGPT_SPEC["sampled"]
+    ordered = PASSGPT_SPEC["ordered"]
+    return {
+        "sampled": STRATEGIES["sampled"].run(
+            model, sampled["n"], CampaignOptions(seed=sampled["seed"], workers=workers)
+        )[0],
+        "ordered": STRATEGIES["ordered"].run(
+            model, ordered["n"], CampaignOptions(workers=workers, ordered=OrderedConfig(
+                beam_width=ordered["beam_width"], max_frontier=ordered["max_frontier"],
+            )),
+        )[0],
+    }
 
 
 def ordered_config(snapshot_every: int = 4):
@@ -106,7 +154,15 @@ def generate_streams(workers: int = 1, gen_batch: int | None = None) -> dict:
     digest = plan_digest(gen.leaf_tasks)
     free_stream = model.generate(SPEC["free"]["n"], seed=SPEC["free"]["seed"], workers=workers)
     ordered_stream = generate_ordered_stream()
+    passgpt = generate_passgpt_streams(workers)
     return {
+        # The PassGPT keys come first so adding them left every original
+        # line of the committed fixture untouched.
+        "passgpt_spec": PASSGPT_SPEC,
+        "passgpt_sampled": passgpt["sampled"],
+        "passgpt_sampled_sha256": _sha256(passgpt["sampled"]),
+        "passgpt_ordered": passgpt["ordered"],
+        "passgpt_ordered_sha256": _sha256(passgpt["ordered"]),
         "spec": SPEC,
         "plan_digest": digest,
         "dcgen": dcgen_stream,
@@ -118,6 +174,10 @@ def generate_streams(workers: int = 1, gen_batch: int | None = None) -> dict:
     }
 
 
+def _sha256(stream: list[str]) -> str:
+    return hashlib.sha256("\n".join(stream).encode()).hexdigest()
+
+
 def main() -> None:
     streams = generate_streams()
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
@@ -126,6 +186,8 @@ def main() -> None:
     print(f"  dcgen:   {len(streams['dcgen'])} guesses, sha {streams['dcgen_sha256'][:16]}")
     print(f"  free:    {len(streams['free'])} guesses, sha {streams['free_sha256'][:16]}")
     print(f"  ordered: {len(streams['ordered'])} guesses, sha {streams['ordered_sha256'][:16]}")
+    for key in ("passgpt_sampled", "passgpt_ordered"):
+        print(f"  {key}: {len(streams[key])} guesses, sha {streams[key + '_sha256'][:16]}")
     print(f"  plan digest: {streams['plan_digest']}")
 
 

@@ -174,7 +174,7 @@ class TestDedupedPriming:
         assert counters.calls == gen.stats.model_calls
 
     def test_execute_counters_match_planned_costs(self, untrained_pag):
-        from repro.generation import build_batches, planned_execute_costs
+        from repro.generation import build_batches, execute_batch, planned_execute_costs
 
         model = untrained_pag
         model.invalidate_inference()
@@ -184,7 +184,8 @@ class TestDedupedPriming:
         planned = planned_execute_costs(batches)
         counters = model.inference.counters
         counters.reset()
-        gen._execute(batches, 1)
+        for batch in batches:
+            execute_batch(model, batch, 1)
         assert counters.calls == planned["model_calls"]
         assert counters.prime_positions == planned["primed_positions"]
 

@@ -18,7 +18,14 @@ from repro.nn.backend import compiler_available
 from repro.runtime import faults
 from repro.runtime.faults import InjectedFault
 
-from tests.goldens import GOLDEN_PATH, SPEC, build_model, generate_ordered_stream
+from tests.goldens import (
+    GOLDEN_PATH,
+    PASSGPT_SPEC,
+    SPEC,
+    build_model,
+    generate_ordered_stream,
+    generate_passgpt_streams,
+)
 
 
 @pytest.fixture(scope="module")
@@ -98,9 +105,18 @@ def test_ordered_crash_resume_byte_identical(golden, snapshot_every, tmp_path, m
     assert resumed == golden["ordered"]
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_passgpt_streams_byte_identical(golden, workers):
+    """The PassGPT baseline's sampled and ordered campaigns are pinned too."""
+    streams = generate_passgpt_streams(workers)
+    assert streams["sampled"] == golden["passgpt_sampled"]
+    assert streams["ordered"] == golden["passgpt_ordered"]
+
+
 def test_fixture_self_consistent(golden):
     assert golden["spec"] == SPEC  # fixture was built from the current spec
-    for key in ("dcgen", "free", "ordered"):
+    assert golden["passgpt_spec"] == PASSGPT_SPEC
+    for key in ("dcgen", "free", "ordered", "passgpt_sampled", "passgpt_ordered"):
         digest = hashlib.sha256("\n".join(golden[key]).encode()).hexdigest()
         assert digest == golden[f"{key}_sha256"]
 

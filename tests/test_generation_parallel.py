@@ -22,14 +22,12 @@ from repro.generation import (
     DCGenerator,
     LeafTask,
     build_batches,
+    execute_batch,
     free_chunks,
+    run_free_chunk,
 )
-from repro.generation.parallel import (
-    CRASH_ENV,
-    execute_batches_parallel,
-    generate_free_parallel,
-)
-from repro.models import PagPassGPT
+from repro.generation.parallel import CRASH_ENV, execute_parallel
+from repro.models import PagPassGPT, PassGPT
 from repro.nn import GPT2Config
 from repro.runtime import FAULT_ENV, FAULT_STATE_ENV, InjectedFault, RetryPolicy, RunJournal
 
@@ -99,14 +97,30 @@ class TestEquivalence:
             assert model.generate(1200, seed=11, workers=workers) == serial
 
     def test_spawn_backend_matches_serial(self, model):
-        """The explicit weight-blob path (non-fork start methods)."""
-        from repro.generation.dcgen import execute_batch
+        """The explicit weight-blob path (non-fork start methods).
 
+        Workers rebuild the model with its own class, so a PassGPT pool
+        runs PassGPT free chunks (not a PagPassGPT load failure).
+        """
         gen = DCGenerator(model, DCGenConfig(threshold=32))
         batches = build_batches(gen.plan(300), gen.config.gen_batch)
         serial = [execute_batch(model, b, 7, model.sampler) for b in batches]
-        spawned = execute_batches_parallel(
-            model, batches, 7, workers=2, start_method="spawn"
+        spawned = execute_parallel(
+            model, batches, execute_batch, 7, workers=2, start_method="spawn"
+        )
+        assert spawned == serial
+
+        passgpt = PassGPT(
+            model_config=GPT2Config(
+                vocab_size=135, block_size=32, dim=32, n_layers=1, n_heads=2, dropout=0.0
+            ),
+            seed=0,
+        )
+        passgpt._fitted = True
+        chunks = free_chunks(700)
+        serial = [run_free_chunk(passgpt, chunk, 7) for chunk in chunks]
+        spawned = execute_parallel(
+            passgpt, chunks, run_free_chunk, 7, workers=2, start_method="spawn"
         )
         assert spawned == serial
 
@@ -222,11 +236,7 @@ class TestCrashFallback:
 
 class TestEmptyInputs:
     def test_execute_batches_parallel_empty(self, model):
-        assert execute_batches_parallel(model, [], 7, workers=2) == []
-
-    def test_generate_free_parallel_zero(self, model):
-        assert generate_free_parallel(model, 0, 7, workers=2) == []
-        assert generate_free_parallel(model, -5, 7, workers=2) == []
+        assert execute_parallel(model, [], execute_batch, 7, workers=2) == []
 
     def test_model_generate_zero(self, model):
         assert model.generate(0, seed=1, workers=2) == []
@@ -247,14 +257,12 @@ class TestPerTaskRetry:
         gen = DCGenerator(model, DCGenConfig(threshold=32))
         batches = build_batches(gen.plan(1200), gen.config.gen_batch)
         assert len(batches) > 2
-        from repro.generation.dcgen import execute_batch
-
         serial = [execute_batch(model, b, 7, model.sampler) for b in batches]
 
         # One-shot crash of the worker running task 1: its retry succeeds.
         monkeypatch.setenv(FAULT_ENV, "crash:worker:1")
         monkeypatch.setenv(FAULT_STATE_ENV, str(tmp_path))
-        out = execute_batches_parallel(model, batches, 7, workers=2)
+        out = execute_parallel(model, batches, execute_batch, 7, workers=2)
 
         assert out == serial
         # No degradation to the serial-fallback path...
@@ -268,14 +276,12 @@ class TestPerTaskRetry:
     def test_hung_worker_is_killed_and_task_retried(self, model, tmp_path, monkeypatch):
         gen = DCGenerator(model, DCGenConfig(threshold=32))
         batches = build_batches(gen.plan(600), gen.config.gen_batch)
-        from repro.generation.dcgen import execute_batch
-
         serial = [execute_batch(model, b, 7, model.sampler) for b in batches]
 
         monkeypatch.setenv(FAULT_ENV, "hang:worker:0")
         monkeypatch.setenv(FAULT_STATE_ENV, str(tmp_path))
         policy = RetryPolicy(max_retries=2, backoff_base=0.0, task_timeout=3.0)
-        out = execute_batches_parallel(model, batches, 7, workers=2, policy=policy)
+        out = execute_parallel(model, batches, execute_batch, 7, workers=2, policy=policy)
         assert out == serial
 
 

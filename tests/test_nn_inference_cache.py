@@ -148,6 +148,7 @@ class TestPromptCacheAccounting:
             DCGenConfig,
             DCGenerator,
             build_batches,
+            execute_batch,
             planned_execute_costs,
         )
         from tests.goldens import SPEC, build_model
@@ -165,7 +166,8 @@ class TestPromptCacheAccounting:
 
         batches = build_batches(leaves, 128)
         planned = planned_execute_costs(batches)
-        gen._execute(batches, dc["seed"])
+        for batch in batches:
+            execute_batch(model, batch, dc["seed"])
 
         stats = cache.stats()
         # Execute-phase hits are exactly the planned dedup savings; the

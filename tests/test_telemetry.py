@@ -453,8 +453,35 @@ class TestQuantiles:
 
     def test_overflow_bucket_clamps_to_top_bound(self):
         h = MetricsRegistry().histogram("h", max_exponent=4)
+        h.observe(10)
         h.observe(10**9)  # beyond every bound -> overflow bucket
-        assert h.quantile(0.5) == float(h.bounds[-1])
+        # The overflow bucket estimates the top finite bound (a lower
+        # bound, as Prometheus reports it), which lies in [min, max].
+        assert h.quantile(0.99) == float(h.bounds[-1])
+
+    def test_single_observation_is_every_quantile(self):
+        for value in (0, 3, 1000, 10**9):
+            h = MetricsRegistry().histogram("h", max_exponent=4)
+            h.observe(value)
+            for q in (0.0, 0.01, 0.5, 0.9, 0.99, 1.0):
+                assert h.quantile(q) == float(value)
+
+    def test_quantiles_stay_within_observed_min_max(self):
+        import random
+
+        rng = random.Random(3)
+        for trial in range(20):
+            h = MetricsRegistry().histogram("h", max_exponent=10)
+            values = [rng.uniform(0.5, 3000.0) for _ in range(rng.randint(2, 60))]
+            for v in values:
+                h.observe(v)
+            for q in (0.0, 0.01, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0):
+                assert min(values) <= h.quantile(q) <= max(values), (trial, q)
+
+    def test_snapshot_shape_unchanged_by_min_max(self):
+        h = MetricsRegistry().histogram("h")
+        h.observe(3)
+        assert h.snapshot() == {"count": 1, "total": 3, "buckets": {"4": 1}}
 
 
 class TestLabeledMetrics:
@@ -627,3 +654,8 @@ class TestSpanPercentiles:
         assert agg["p50_ms"] <= agg["p95_ms"] <= agg["p99_ms"]
         text = telemetry.render_summary(summary)
         assert "p95" in text
+
+    def test_single_span_percentiles_equal_its_duration(self, tmp_path):
+        _write_stream(tmp_path / "telemetry.jsonl", [_span("campaign", duration=2.99)])
+        agg = telemetry.summarize_campaign(tmp_path)["spans"]["campaign"]
+        assert agg["p50_ms"] == agg["p95_ms"] == agg["p99_ms"] == 2990.0
