@@ -109,11 +109,9 @@ echo "telemetry smoke: merged campaign summary passes deterministic invariants"
 # Ordered smoke (ISSUE 6): best-first campaign, crash at a frontier
 # snapshot, resume, byte-identical stream + telemetry invariants.
 # ----------------------------------------------------------------------
-# Snapshot cadence matters here: a frontier snapshot journals the whole
-# heap (fsync'd), so every-round snapshots would dominate the wall-clock.
 ORD_ARGS=(generate --checkpoint "$SMOKE_DIR/model.npz" -n 120
           --strategy ordered --beam-width 64 --max-frontier 5000
-          --snapshot-every 20)
+          --snapshot-every 1)
 
 python -m repro.cli "${ORD_ARGS[@]}" --out "$SMOKE_DIR/ordered_clean.txt" \
     --telemetry "$SMOKE_DIR/ordered-tele"
@@ -127,11 +125,16 @@ if REPRO_FAULT=crash:frontier:3 \
     exit 1
 fi
 test -s "$SMOKE_DIR/ordered.jsonl"  # journaled snapshots survived the crash
+# The frontier lives in one binary sidecar: each snapshot replaces the last.
+test "$(ls "$SMOKE_DIR"/ordered.jsonl.*.npy | wc -l)" -eq 1
 
 # ...then resume and demand the byte-identical ordered stream.
 python -m repro.cli "${ORD_ARGS[@]}" --out "$SMOKE_DIR/ordered_resumed.txt" \
     --journal "$SMOKE_DIR/ordered.jsonl" --resume
 diff "$SMOKE_DIR/ordered_clean.txt" "$SMOKE_DIR/ordered_resumed.txt"
+# A finished campaign deletes its journal together with the sidecar.
+test ! -e "$SMOKE_DIR/ordered.jsonl"
+test -z "$(ls "$SMOKE_DIR"/ordered.jsonl.*.npy 2>/dev/null)"
 echo "ordered smoke: crashed+resumed best-first stream is byte-identical"
 
 # ----------------------------------------------------------------------

@@ -76,6 +76,7 @@ from .runtime import (
     CampaignInterrupted,
     DiskFullError,
     JournalError,
+    RunJournal,
     atomic_write_text,
     signals,
 )
@@ -325,7 +326,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         _finish_profiler(args, profiler)
         _finish_telemetry(args, started)
     _write_lines(args.out, guesses)
-    journal_path.unlink(missing_ok=True)  # campaign finished; journal spent
+    RunJournal.discard(journal_path)  # campaign finished; journal spent
     if args.manifest:
         _write_artifact_manifest(
             args.out,

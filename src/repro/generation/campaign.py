@@ -74,11 +74,12 @@ class Campaign:
                 "campaign_resume", tasks=tasks, guesses=guesses, model_calls=model_calls
             )
 
-    def record(self, task_id: int, payload: Any) -> None:
-        """Make one unit durable; its record kind is also its fault site."""
+    def record(self, task_id: int, payload: Any, sidecar: Optional[np.ndarray] = None) -> None:
+        """Make one unit durable; its record kind is also its fault site.
+        ``sidecar`` rides along as the record's binary sidecar."""
         maybe_fail(self.record_kind)
         if self.journal is not None:
-            self.journal.record(self.record_kind, task_id, payload)
+            self.journal.record(self.record_kind, task_id, payload, sidecar=sidecar)
 
     def report(self, done: int, total: int) -> None:
         if self.progress is not None:

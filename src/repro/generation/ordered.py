@@ -13,13 +13,16 @@ Algorithm
 A node is a password prefix with its cumulative negative log-probability
 under the *constrained, renormalised* next-token distribution — the same
 distribution :mod:`repro.generation.sampler` draws from, so the ordered
-and sampled strategies enumerate the identical probability space.  A
-min-heap frontier holds ``(neg_logprob, seq, prompt_index, chars,
-complete)`` tuples; each round pops up to ``beam_width`` of the most
-probable incomplete nodes, computes their next-token distributions in
-one batched model call, and pushes every child back.  Because a child's
+and sampled strategies enumerate the identical probability space.  The
+frontier is columnar (:class:`Frontier`): numpy arrays of
+``neg_logprob``, ``seq``, prompt index, depth, packed characters and
+complete flags, kept sorted by ``(neg_logprob, seq)``.  Each round walks
+the sorted prefix: leading complete nodes are emitted, then up to
+``beam_width`` of the most probable incomplete nodes are expanded in one
+batched model call per ``(prompt, depth)`` group, and their children —
+built with array ops — are merged back in order.  Because a child's
 negative log-probability is never below its parent's, a complete node
-popped while nothing else is pending is provably the most probable
+reached while nothing else is pending is provably the most probable
 unemitted password — the emitted stream is non-increasing in
 probability and duplicate-free (distinct nodes are distinct strings).
 
@@ -48,15 +51,23 @@ Fault tolerance
 ---------------
 
 Ordered campaigns are first-class citizens of the journaled runtime:
-every ``snapshot_every`` rounds the full enumeration state (heap,
-emitted delta, counters) is recorded as a digest-guarded ``frontier``
-record.  Resuming replays the journaled snapshots and continues from
-the last one; because enumeration is deterministic, the merged stream
-is byte-identical to an uninterrupted run for any snapshot interval.
-``maybe_fail("frontier")`` guards the snapshot site for fault-injection
-tests (``REPRO_FAULT=crash:frontier:K``).
+every ``snapshot_every`` rounds a ``frontier`` record journals the
+emitted delta and counters as JSONL, and the frontier itself as one
+binary ``.npy`` sidecar whose sha256 the record carries
+(:meth:`~repro.runtime.RunJournal.record`).  Each sidecar supersedes the
+last, so the journal holds the emitted guesses plus one frontier and a
+snapshot costs about as much as the frontier's bytes.  Resuming reads
+the newest record whose sidecar verifies and continues from it; because
+enumeration is deterministic, the merged stream is byte-identical to an
+uninterrupted run for any snapshot interval.  If no record has a usable
+sidecar (a torn tail reaching back past it, a deleted or corrupt file,
+a journal from before sidecars), the run restarts from the roots on the
+same journal header and emits ``frontier_restart`` — by the same
+determinism the stream does not change.  ``maybe_fail("frontier")``
+guards the snapshot site for fault-injection tests
+(``REPRO_FAULT=crash:frontier:K``).
 
-Memory is bounded by ``max_frontier``: when the heap outgrows it the
+Memory is bounded by ``max_frontier``: when the frontier outgrows it the
 *least* probable nodes are pruned.  Pruning never reorders the emitted
 stream but can drop reachable strings, so it is accounted, never
 silent: :attr:`OrderedStats.truncated_nodes` / ``truncated_mass`` and a
@@ -66,7 +77,6 @@ silent: :attr:`OrderedStats.truncated_nodes` / ``truncated_mass`` and a
 from __future__ import annotations
 
 import hashlib
-import heapq
 import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -91,7 +101,7 @@ class OrderedConfig:
     ``beam_width`` is the number of frontier nodes expanded per batched
     model call — a throughput knob that also sets how many equal-score
     candidates can be in flight (the emitted *order* is probability-
-    sorted regardless).  ``max_frontier`` caps heap memory; overflow
+    sorted regardless).  ``max_frontier`` caps frontier memory; overflow
     prunes the least probable nodes with full accounting.
     ``snapshot_every`` is the journaling cadence in rounds (resume is
     byte-identical for any value).  ``max_patterns`` truncates the S_p
@@ -172,6 +182,82 @@ def prompts_digest(prompts: Sequence[OrderedPrompt]) -> str:
     return h.hexdigest()[:16]
 
 
+class Frontier:
+    """The enumerator's open nodes as columns, best first.
+
+    Row ``i`` is one node: its cumulative negative log-probability
+    ``neg``, insertion ordinal ``seq`` (the tie-break), ``prompt`` index,
+    decided characters (the first ``depth`` entries of ``chars``) and
+    whether it is a ``complete`` password.  Rows stay sorted by ``(neg,
+    seq)``, so popping the best nodes walks a prefix and pruning is a
+    slice.
+    """
+
+    COLUMNS = ("neg", "seq", "prompt", "depth", "complete", "chars")
+    __slots__ = COLUMNS
+
+    def __init__(self, neg, seq, prompt, depth, complete, chars) -> None:
+        self.neg = neg
+        self.seq = seq
+        self.prompt = prompt
+        self.depth = depth
+        self.complete = complete
+        self.chars = chars
+
+    def __len__(self) -> int:
+        return len(self.neg)
+
+    def columns(self) -> list[np.ndarray]:
+        return [getattr(self, name) for name in self.COLUMNS]
+
+    def select(self, index) -> "Frontier":
+        """The rows at ``index``: a slice (views) or an index array."""
+        if isinstance(index, slice):
+            return Frontier(*(column[index] for column in self.columns()))
+        # np.take copies whole rows of the 2-D chars column far faster
+        # than fancy indexing does.
+        return Frontier(*(np.take(column, index, axis=0) for column in self.columns()))
+
+    def merge(
+        self, keep: np.ndarray, children: "Frontier", limit: int
+    ) -> tuple["Frontier", np.ndarray]:
+        """The rows where ``keep`` is set plus ``children``, sorted by
+        ``(neg, seq)`` and cut to the best ``limit``; also the ``neg`` of
+        the rows cut off, best first.
+
+        Children are newer than every row here (larger ``seq``), so one
+        ``np.lexsort`` orders them and each lands after the rows it ties.
+        """
+        kept = np.flatnonzero(keep)
+        by_score = np.lexsort((children.seq, children.neg))
+        at = np.searchsorted(self.neg[kept], children.neg[by_score], side="right")
+        at += np.arange(len(at))
+        # Row of [self, children] that lands at each merged position.
+        source = np.empty(len(kept) + len(at), dtype=np.intp)
+        old = np.ones(len(source), dtype=bool)
+        old[at] = False
+        source[old] = kept
+        source[at] = by_score + len(self)
+        neg = np.take(np.concatenate((self.neg, children.neg)), source)
+        head = source[:limit]
+        rest = (
+            np.take(np.concatenate((mine, theirs)), head, axis=0)
+            for mine, theirs in zip(self.columns()[1:], children.columns()[1:])
+        )
+        return Frontier(neg[:limit], *rest), neg[limit:]
+
+    def to_records(self, dtype: np.dtype) -> np.ndarray:
+        """One structured array (the journal sidecar's form)."""
+        records = np.empty(len(self), dtype=dtype)
+        for name in self.COLUMNS:
+            records[name] = getattr(self, name)
+        return records
+
+    @classmethod
+    def from_records(cls, records: np.ndarray) -> "Frontier":
+        return cls(*(np.ascontiguousarray(records[name]) for name in cls.COLUMNS))
+
+
 class OrderedGenerator:
     """Best-first enumeration over a fitted GPT password model.
 
@@ -203,6 +289,26 @@ class OrderedGenerator:
             ]
         )
         self._eos_only = np.array([vocab.eos_id], dtype=np.int64)
+        # One frontier row per node: its score, insertion ordinal, prompt,
+        # decided characters (the first ``depth`` of ``chars``) and
+        # whether it is a finished password.
+        lengths = [
+            p.pattern.length if p.pattern is not None else self._max_chars()
+            for p in self.prompts
+        ]
+        self._row_dtype = np.dtype([
+            ("neg", "<f8"),
+            ("seq", "<i8"),
+            ("prompt", "<i4"),
+            ("depth", "<i2"),
+            ("complete", "?"),
+            ("chars", np.min_scalar_type(len(vocab) - 1), (max(lengths),)),
+        ])
+        #: Depth at which each prompt's nodes complete (-1: at <EOS> only).
+        self._complete_at = np.array(
+            [p.pattern.length if p.pattern is not None else -1 for p in self.prompts],
+            dtype=np.int64,
+        )
 
     # ------------------------------------------------------------------
     # Constructors
@@ -328,72 +434,60 @@ class OrderedGenerator:
     # ------------------------------------------------------------------
     def _run(self, n: int, campaign: Campaign) -> list[tuple[str, float]]:
         self.stats = OrderedStats()
-        stats = self.stats
         registry = telemetry.get_registry()
-        heap: list[tuple] = []
-        seq = 0
         emitted: list[tuple[str, float]] = []
         delta: list[list] = []  # [password, neg_logprob] since last snapshot
-        snapshot_id = 0
-
         journal = campaign.journal
-        restored = campaign.completed()
-        if restored:
-            for sid in sorted(restored):
-                emitted.extend(
-                    (pw, -float(neg)) for pw, neg in restored[sid]["emitted"]
-                )
-            last = restored[max(restored)]
-            heap = [
-                (float(neg), int(s), int(p), tuple(chars), bool(complete))
-                for neg, s, p, chars, complete in last["heap"]
-            ]
-            heapq.heapify(heap)
-            seq = int(last["seq"])
-            self.stats = stats = OrderedStats.from_dict(last["stats"])
-            snapshot_id = max(restored) + 1
-            campaign.resumed(len(restored), len(emitted), int(stats.model_calls))
+        restored = self._restore(campaign, emitted)
+        if restored is None:
+            frontier, seq, snapshot_id = self._roots()
         else:
-            for index, prompt in enumerate(self.prompts):
-                if math.isfinite(prompt.prior_neg_logprob):
-                    heap.append((float(prompt.prior_neg_logprob), seq, index, (), False))
-                    seq += 1
-            heapq.heapify(heap)
+            frontier, seq, snapshot_id = restored
+        stats = self.stats
+        beam_width = self.config.beam_width
+        max_frontier = self.config.max_frontier
 
         campaign.report(len(emitted), n)
 
-        while len(emitted) < n and heap:
+        while len(emitted) < n and len(frontier):
             with telemetry.trace(
                 "ordered.round", level="debug", round=int(stats.rounds)
             ) as span:
                 pops0, calls0, emit0 = stats.pops, stats.model_calls, len(emitted)
-                batch: list[tuple] = []
-                held: list[tuple] = []
-                while heap and len(batch) < self.config.beam_width and len(emitted) < n:
-                    node = heapq.heappop(heap)
-                    stats.pops += 1
-                    if node[4]:  # complete
-                        if batch:
-                            # An expansion is pending whose children may
-                            # score better — defer to a later round.
-                            held.append(node)
-                        else:
-                            password = self._password(node)
-                            emitted.append((password, -node[0]))
-                            delta.append([password, node[0]])
-                    else:
-                        batch.append(node)
-                if len(emitted) >= n:
-                    # Budget met mid-collection: everything popped but not
-                    # emitted goes back so snapshots stay exact.
-                    for node in batch:
-                        heapq.heappush(heap, node)
-                    batch = []
-                if batch:
-                    seq = self._expand(batch, heap, seq)
-                for node in held:
-                    heapq.heappush(heap, node)
-                self._prune(heap, registry, stats)
+                # The frontier is sorted best first, so a round is a walk
+                # along its prefix: the leading complete nodes are the
+                # most probable unemitted passwords...
+                incomplete = np.flatnonzero(~frontier.complete)
+                lead = int(incomplete[0]) if len(incomplete) else len(frontier)
+                take = min(lead, n - len(emitted))
+                for row in range(take):
+                    password = self._password(frontier, row)
+                    neg = float(frontier.neg[row])
+                    emitted.append((password, -neg))
+                    delta.append([password, neg])
+                if len(emitted) < n and take < len(frontier):
+                    # ...then up to beam_width incomplete nodes are popped
+                    # for expansion.  Complete nodes among them stay put:
+                    # a pending child may outscore them.
+                    batch_rows = incomplete[:beam_width]
+                    popped = (
+                        int(batch_rows[-1]) + 1
+                        if len(incomplete) >= beam_width
+                        else len(frontier)
+                    )
+                    keep = np.ones(len(frontier), dtype=bool)
+                    keep[:take] = False
+                    keep[batch_rows] = False
+                    children = self._expand(frontier.select(batch_rows), seq)
+                    seq += len(children)
+                    frontier, dropped = frontier.merge(keep, children, max_frontier)
+                else:
+                    popped = take
+                    dropped = frontier.neg[take + max_frontier :]
+                    frontier = frontier.select(slice(take, take + max_frontier))
+                stats.pops += popped
+                if len(dropped):
+                    self._truncated(dropped, len(frontier), registry, stats)
                 stats.rounds += 1
                 stats.emitted = len(emitted)
                 registry.counter("ordered.pops").inc(stats.pops - pops0)
@@ -404,7 +498,7 @@ class OrderedGenerator:
                 )
             campaign.report(len(emitted), n)
             if journal is not None and stats.rounds % self.config.snapshot_every == 0:
-                snapshot_id = self._snapshot(campaign, snapshot_id, heap, seq, delta)
+                snapshot_id = self._snapshot(campaign, snapshot_id, frontier, seq, delta)
                 delta = []
             if campaign.exceeded(guesses=len(emitted), model_calls=stats.model_calls):
                 # Graceful stop at a round boundary: flush the pending
@@ -412,7 +506,7 @@ class OrderedGenerator:
                 # round's guesses are durable before the raise — resume
                 # picks up exactly here.
                 if journal is not None and delta:
-                    snapshot_id = self._snapshot(campaign, snapshot_id, heap, seq, delta)
+                    snapshot_id = self._snapshot(campaign, snapshot_id, frontier, seq, delta)
                     delta = []
                 campaign.poll(
                     guesses=len(emitted),
@@ -427,63 +521,109 @@ class OrderedGenerator:
             )
         stats.emitted = len(emitted)
         if journal is not None and delta:
-            self._snapshot(campaign, snapshot_id, heap, seq, delta)
+            self._snapshot(campaign, snapshot_id, frontier, seq, delta)
         return emitted[:n]
 
-    def _expand(self, batch: list[tuple], heap: list[tuple], seq: int) -> int:
-        """Batched child generation; returns the advanced ``seq`` counter.
+    def _roots(self) -> tuple[Frontier, int, int]:
+        """The fresh frontier: one node per finite-prior prompt, plus the
+        next ``seq`` and snapshot id."""
+        indices = [
+            i for i, prompt in enumerate(self.prompts)
+            if math.isfinite(prompt.prior_neg_logprob)
+        ]
+        roots = Frontier.from_records(np.zeros(len(indices), dtype=self._row_dtype))
+        roots.neg[:] = [self.prompts[i].prior_neg_logprob for i in indices]
+        roots.seq[:] = np.arange(len(indices))
+        roots.prompt[:] = indices
+        return roots.select(np.lexsort((roots.seq, roots.neg))), len(indices), 0
+
+    def _restore(
+        self, campaign: Campaign, emitted: list[tuple[str, float]]
+    ) -> Optional[tuple[Frontier, int, int]]:
+        """Resume from the newest ``frontier`` record whose sidecar verifies.
+
+        Fills ``emitted`` from that record and the ones before it and
+        returns ``(frontier, seq, next snapshot id)``, or ``None`` when
+        there is nothing to resume.  When no record qualifies — a torn
+        tail reaching back past the live sidecar, a deleted or corrupt
+        sidecar, or a journal written before sidecars existed — the
+        journal starts over with the same header and a
+        ``frontier_restart`` event: enumeration is deterministic, so
+        restarting from the roots emits the same stream.
+        """
+        restored = campaign.completed()
+        if not restored:
+            return None
+        for sid in sorted(restored, reverse=True):
+            records = campaign.journal.load_sidecar(campaign.record_kind, sid)
+            if records is not None and records.dtype == self._row_dtype:
+                break
+        else:
+            telemetry.emit("frontier_restart", records=len(restored))
+            campaign.journal.reset()
+            return None
+        used = [s for s in sorted(restored) if s <= sid]
+        for s in used:
+            emitted.extend((pw, -float(neg)) for pw, neg in restored[s]["emitted"])
+        last = restored[sid]
+        self.stats = OrderedStats.from_dict(last["stats"])
+        campaign.resumed(len(used), len(emitted), int(self.stats.model_calls))
+        return Frontier.from_records(records), int(last["seq"]), sid + 1
+
+    def _expand(self, batch: Frontier, seq: int) -> Frontier:
+        """Children of the ``batch`` rows, numbered from ``seq``.
 
         Nodes are grouped by ``(prompt, depth)`` so each group is one
         KV-cached forward: the shared prompt comes from the warm
         :class:`~repro.nn.PromptCache`, the decided characters ride one
-        :meth:`~repro.nn.GPT2Inference.extend` call.  Group iteration
-        order is sorted, so child insertion — and therefore the ``seq``
-        tie-break — is deterministic.
+        :meth:`~repro.nn.GPT2Inference.extend` call.  Children come out
+        group by group in sorted ``(prompt, depth)`` order, then by
+        parent in pop order, then by candidate token, so the ``seq``
+        tie-break is deterministic.  Zero-probability children are
+        unreachable and never created.
         """
         stats = self.stats
-        groups: dict[tuple[int, int], list[tuple]] = {}
-        for node in batch:
-            groups.setdefault((node[2], len(node[3])), []).append(node)
-        for (prompt_index, depth), nodes in sorted(groups.items()):
-            prompt = self.prompts[prompt_index]
+        order = np.lexsort((batch.depth, batch.prompt))  # stable: pop order kept
+        prompts, depths = batch.prompt[order], batch.depth[order]
+        changes = (prompts[1:] != prompts[:-1]) | (depths[1:] != depths[:-1])
+        bounds = [0, *(np.flatnonzero(changes) + 1).tolist(), len(order)]
+        parents, log_probs, tokens = [], [], []
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            rows = order[start:stop]
+            depth = int(depths[start])
+            prompt = self.prompts[int(prompts[start])]
             prompt_logits, prompt_kv = self.model.prompt_cache.lookup(prompt.prompt_ids)
             if depth == 0:
-                logits = np.repeat(prompt_logits, len(nodes), axis=0)
+                logits = np.repeat(prompt_logits, len(rows), axis=0)
             else:
-                kv = prompt_kv.gather(np.zeros(len(nodes), dtype=np.intp))
-                chars = np.array([node[3] for node in nodes], dtype=np.int64)
+                kv = prompt_kv.gather(np.zeros(len(rows), dtype=np.intp))
+                chars = batch.chars[rows, :depth].astype(np.int64)
                 logits = self.model.inference.extend(chars, kv)
                 stats.model_calls += 1
             allowed = self._allowed(prompt, depth)
             # log of the renormalised constrained distribution, float64
             # so cumulative scores do not lose precision along the path.
             with np.errstate(divide="ignore"):
-                log_probs = np.log(
+                group = np.log(
                     constrained_distribution(logits, allowed).astype(np.float64)
                 )
-            stats.expansions += len(nodes)
-            pattern_len = prompt.pattern.length if prompt.pattern is not None else None
-            for row, node in enumerate(nodes):
-                parent_neg, _, _, parent_chars, _ = node
-                for column, token_id in enumerate(allowed.tolist()):
-                    lp = log_probs[row, column]
-                    if not np.isfinite(lp):
-                        continue  # zero-probability child: unreachable
-                    child_neg = parent_neg - float(lp)
-                    if pattern_len is not None:
-                        child_chars = parent_chars + (token_id,)
-                        complete = depth + 1 == pattern_len
-                    elif token_id == self._eos_id:
-                        child_chars = parent_chars
-                        complete = True
-                    else:
-                        child_chars = parent_chars + (token_id,)
-                        complete = False
-                    heapq.heappush(
-                        heap, (child_neg, seq, node[2], child_chars, complete)
-                    )
-                    seq += 1
-        return seq
+            stats.expansions += len(rows)
+            row, column = np.nonzero(np.isfinite(group))
+            parents.append(rows[row])
+            log_probs.append(group[row, column])
+            tokens.append(allowed[column])
+        children = batch.select(np.concatenate(parents))
+        children.neg -= np.concatenate(log_probs)
+        children.seq = np.arange(seq, seq + len(children), dtype=np.int64)
+        token = np.concatenate(tokens)
+        # <EOS> completes an unconditional node without adding a char.
+        grows = np.flatnonzero(token != self._eos_id)
+        children.chars[grows, children.depth[grows]] = token[grows]
+        children.depth[grows] += 1
+        children.complete = (token == self._eos_id) | (
+            children.depth == self._complete_at[children.prompt]
+        )
+        return children
 
     def _allowed(self, prompt: OrderedPrompt, depth: int) -> np.ndarray:
         """Candidate token ids for the next position of a node."""
@@ -499,18 +639,17 @@ class OrderedGenerator:
         tokenizer = self.model.tokenizer
         return getattr(tokenizer, "max_password_length", tokenizer.block_size - 2)
 
-    def _password(self, node: tuple) -> str:
+    def _password(self, frontier: Frontier, row: int) -> str:
         token_strs = self.model.tokenizer.vocab.token_array
-        return "".join(token_strs[list(node[3])]) if node[3] else ""
+        return "".join(token_strs[frontier.chars[row, : frontier.depth[row]]])
 
-    def _prune(self, heap: list[tuple], registry, stats: OrderedStats) -> None:
-        """Cap the heap at ``max_frontier``, accounting for what's dropped."""
-        if len(heap) <= self.config.max_frontier:
-            return
-        heap.sort()  # a sorted list is a valid heap
-        dropped = heap[self.config.max_frontier :]
-        del heap[self.config.max_frontier :]
-        mass = float(sum(math.exp(-node[0]) for node in dropped))
+    def _truncated(
+        self, dropped: np.ndarray, kept: int, registry, stats: OrderedStats
+    ) -> None:
+        """Account for the nodes pruned to hold the ``max_frontier`` cap."""
+        # math.exp summed best first: the mass is the same float however
+        # the frontier is stored.
+        mass = float(sum(map(math.exp, (-dropped).tolist())))
         stats.truncated_nodes += len(dropped)
         stats.truncated_mass += mass
         registry.counter("ordered.truncated").inc(len(dropped))
@@ -519,20 +658,22 @@ class OrderedGenerator:
             level="debug",
             dropped=len(dropped),
             mass=mass,
-            frontier=len(heap),
+            frontier=kept,
         )
 
     def _snapshot(
         self,
         campaign: Campaign,
         snapshot_id: int,
-        heap: list[tuple],
+        frontier: Frontier,
         seq: int,
         delta: list[list],
     ) -> int:
-        """Journal the full enumeration state; returns the next ordinal.
+        """Journal the enumeration state; returns the next ordinal.
 
-        The campaign's ``maybe_fail("frontier")`` sits before the write so
+        The JSONL record carries the emitted delta and counters; the
+        frontier itself goes to the record's binary sidecar.  The
+        campaign's ``maybe_fail("frontier")`` sits before the write so
         the fault harness can kill the run at an exact snapshot boundary
         (``REPRO_FAULT=crash:frontier:K`` crashes before snapshot K+1,
         leaving K durable snapshots behind).
@@ -542,13 +683,10 @@ class OrderedGenerator:
             {
                 "round": int(self.stats.rounds),
                 "emitted": delta,
-                "heap": [
-                    [neg, s, p, list(chars), complete]
-                    for neg, s, p, chars, complete in heap
-                ],
                 "seq": int(seq),
                 "stats": self.stats.as_dict(),
             },
+            sidecar=frontier.to_records(self._row_dtype),
         )
         self.stats.snapshots += 1
         return snapshot_id + 1

@@ -144,8 +144,9 @@ class AppendStream:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fd = os.open(self.path, os.O_CREAT | os.O_WRONLY | os.O_APPEND, 0o644)
 
-    def write_line(self, line: str) -> None:
-        """Append one line (a trailing newline is added if missing)."""
+    def write_line(self, line: str) -> int:
+        """Append one line (a trailing newline is added if missing);
+        returns the bytes written."""
         if not line.endswith("\n"):
             line += "\n"
         data = line.encode("utf-8")
@@ -163,6 +164,7 @@ class AppendStream:
                 f"short write appending to {self.path} "
                 f"({written}/{len(data)} bytes): disk full"
             )
+        return written
 
     def _rollback(self, size: int) -> None:
         try:

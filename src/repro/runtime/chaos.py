@@ -48,6 +48,7 @@ from ..generation.strategies import STRATEGIES
 from . import faults, signals
 from .atomic import DiskFullError
 from .faults import FAULT_ENV, FAULT_STATE_ENV, HANG_SECONDS_ENV, InjectedFault, corrupt_file
+from .journal import RunJournal, sidecar_paths
 from .retry import TASK_TIMEOUT_ENV
 
 #: Default guesses per strategy — enough journaled units for the random
@@ -307,7 +308,7 @@ def run_case(
         if result.repair_exit == 2:
             # Unrepairable (tear reached the header): the documented
             # operator flow is to discard the journal and rerun.
-            journal.unlink()
+            RunJournal.discard(journal)
 
     # Leg 3: resume with the fault cleared; fresh telemetry dir so the
     # summarize --check accounting covers exactly the resumed process.
@@ -335,7 +336,7 @@ def run_case(
         result.failure = "resumed output differs from golden run"
     elif not result.check_ok:
         result.failure = "telemetry summarize --check failed on the resume leg"
-    elif journal.exists():
+    elif journal.exists() or sidecar_paths(journal):
         result.failure = "spent journal not cleaned up after successful resume"
     return result
 

@@ -18,10 +18,14 @@ engine behind ``repro verify``:
   opening it for writing: header presence/format, per-record digests,
   and torn tails (every line from the first unparsable or
   digest-mismatched record onward is untrusted).
+  The newest record's binary sidecar (see :mod:`repro.runtime.journal`)
+  must exist and match its recorded sha256; sidecars no valid record
+  references are reported as orphans.
 * :func:`repair_journal` — truncates a torn journal back to its last
   valid record via an atomic rewrite, which is exactly the prefix
-  :class:`~repro.runtime.journal.RunJournal.open` would trust anyway;
-  repair makes that recovery explicit and releases the dead bytes.
+  :class:`~repro.runtime.journal.RunJournal.open` would trust anyway,
+  and deletes orphan sidecars; repair makes that recovery explicit and
+  releases the dead bytes.
 * :func:`verify_checkpoint` — readability check for npz checkpoints
   (truncated/corrupt archives surface as findings, not tracebacks).
 
@@ -40,7 +44,14 @@ from pathlib import Path
 from typing import Any, Iterable, Optional
 
 from .atomic import atomic_write_text
-from .journal import FORMAT_VERSION, RunJournal, _digest
+from .journal import (
+    FORMAT_VERSION,
+    SIDECAR_KEY,
+    RunJournal,
+    _digest,
+    sidecar_path,
+    sidecar_paths,
+)
 
 MANIFEST_VERSION = 1
 
@@ -99,6 +110,7 @@ def _scan_journal_bytes(raw: bytes) -> dict:
     header: Optional[dict] = None
     header_ok = False
     records = 0
+    sidecars: dict[tuple[str, int], str] = {}  # (kind, task_id) -> sha256
     valid_bytes = 0
     offset = 0
     bad_line: Optional[int] = None
@@ -120,12 +132,18 @@ def _scan_journal_bytes(raw: bytes) -> dict:
             header_ok = True
         else:
             records += 1
+            payload = rec.get("payload")
+            if isinstance(payload, dict) and SIDECAR_KEY in payload:
+                key = (rec["kind"], int(rec["task_id"]))
+                sidecars.pop(key, None)  # a rewritten record is the newest
+                sidecars[key] = payload[SIDECAR_KEY]
         valid_bytes = min(line_end, len(raw))
         offset = line_end
     return {
         "header": header,
         "header_ok": header_ok,
         "records": records,
+        "sidecars": sidecars,
         "valid_bytes": valid_bytes,
         "total_bytes": len(raw),
         "total_lines": len(lines),
@@ -141,7 +159,11 @@ def scan_journal(path: str | Path, expected_header: Optional[dict] = None) -> li
     failed parsing or digest check; ``data`` carries the valid byte
     prefix a repair would keep), and — when ``expected_header`` is given —
     ``header_conflict`` for a journal that belongs to a different run.
-    A clean journal yields no findings.
+    Sidecars are checked against the valid records: ``missing_sidecar``
+    / ``sidecar_mismatch`` when the newest record's sidecar is gone or
+    fails its sha256 (a resume then restarts from scratch, so these are
+    warnings), and ``orphan_sidecar`` for a sidecar file no valid record
+    references.  A clean journal yields no findings.
     """
     path = Path(path)
     if not path.exists():
@@ -179,6 +201,7 @@ def scan_journal(path: str | Path, expected_header: Optional[dict] = None) -> li
                 },
             )
         )
+    findings.extend(_scan_sidecars(path, scan["sidecars"]))
     if expected_header is not None and scan["header"] != expected_header:
         findings.append(
             Finding(
@@ -192,12 +215,43 @@ def scan_journal(path: str | Path, expected_header: Optional[dict] = None) -> li
     return findings
 
 
+def _scan_sidecars(path: Path, sidecars: dict[tuple[str, int], str]) -> list[Finding]:
+    """Findings for the newest record's sidecar and for orphan sidecars."""
+    findings: list[Finding] = []
+    if sidecars:
+        (kind, task_id), expected = list(sidecars.items())[-1]
+        side = sidecar_path(path, kind, task_id)
+        data = {"kind": kind, "task_id": task_id, "sidecar": str(side)}
+        if not side.exists():
+            findings.append(Finding(
+                "warning", "missing_sidecar", str(path),
+                f"newest {kind} record {task_id} has no sidecar; "
+                "a resume restarts from scratch", data,
+            ))
+        elif sha256_file(side) != expected:
+            findings.append(Finding(
+                "warning", "sidecar_mismatch", str(path),
+                f"sidecar of newest {kind} record {task_id} fails its sha256; "
+                "a resume restarts from scratch", data,
+            ))
+    referenced = {sidecar_path(path, kind, task_id) for kind, task_id in sidecars}
+    for side in sidecar_paths(path):
+        if side not in referenced:
+            findings.append(Finding(
+                "warning", "orphan_sidecar", str(path),
+                f"{side.name} belongs to no valid record", {"sidecar": str(side)},
+            ))
+    return findings
+
+
 def repair_journal(path: str | Path) -> list[Finding]:
-    """Truncate a torn journal to its last valid record (atomic rewrite).
+    """Truncate a torn journal to its last valid record (atomic rewrite)
+    and delete orphan sidecars.
 
     Returns the post-repair findings: a ``repaired`` info finding for a
-    recovered torn tail, an ``unrepairable`` error when there is no valid
-    header to keep, and nothing for an already-clean journal.
+    recovered torn tail or a deleted orphan, an ``unrepairable`` error
+    when there is no valid header to keep, and nothing for an
+    already-clean journal.
     """
     path = Path(path)
     findings = scan_journal(path)
@@ -214,6 +268,17 @@ def repair_journal(path: str | Path) -> list[Finding]:
                     f"truncated {f.data['dropped_lines']} torn line(s) "
                     f"({f.data['total_bytes'] - f.data['valid_bytes']} bytes); "
                     f"{f.data['valid_records']} record(s) retained",
+                    dict(f.data),
+                )
+            )
+        elif f.kind == "orphan_sidecar":
+            Path(f.data["sidecar"]).unlink(missing_ok=True)
+            out.append(
+                Finding(
+                    "info",
+                    "repaired",
+                    str(path),
+                    f"deleted orphan sidecar {Path(f.data['sidecar']).name}",
                     dict(f.data),
                 )
             )

@@ -19,6 +19,25 @@ stops at the first unparsable or digest-mismatched line (the torn tail a
 crash mid-append can leave); everything before it is trusted, everything
 after it is discarded and will be recomputed.
 
+Sidecars
+--------
+
+A record may carry one numpy array too large to belong in a JSON line
+(the ordered enumerator's frontier).  :meth:`RunJournal.record` writes it
+as a binary ``.npy`` *sidecar* next to the journal, named
+``<journal>.<kind>-<task_id>.npy``, and stores the file's sha256 in the
+record payload under :data:`SIDECAR_KEY`.  A journal keeps one live
+sidecar: each new one supersedes the last.  The write order makes every
+crash point safe::
+
+    write sidecar K (atomic)  ->  append + fsync record K  ->  delete sidecar K-1
+
+so at most two sidecars exist, and two only between the append and the
+delete.  :meth:`RunJournal.load_sidecar` returns an array only when the
+file exists and matches its recorded digest; the caller decides what a
+missing or damaged sidecar means.  :meth:`RunJournal.discard` deletes a
+journal together with its sidecars.
+
 The header pins the run's identity (seed, totals, a digest of the task
 plan).  Resuming against a journal whose header differs raises
 :class:`JournalError` — silently merging two different runs would corrupt
@@ -28,15 +47,23 @@ campaign may crash on 4 workers and resume on 1.
 
 from __future__ import annotations
 
+import glob
 import hashlib
+import io
 import json
 import os
+import re
 from pathlib import Path
 from typing import Any, Optional
 
-from .atomic import AppendStream
+import numpy as np
+
+from .atomic import AppendStream, atomic_write_bytes
 
 FORMAT_VERSION = 1
+
+#: Payload key holding the sha256 of a record's sidecar.
+SIDECAR_KEY = "sidecar"
 
 
 class JournalError(RuntimeError):
@@ -53,6 +80,31 @@ def file_digest(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
 
 
+def sidecar_path(path: str | Path, kind: str, task_id: int) -> Path:
+    """Where the journal at ``path`` keeps the sidecar of one record."""
+    path = Path(path)
+    return path.with_name(f"{path.name}.{kind}-{int(task_id)}.npy")
+
+
+def sidecar_paths(path: str | Path) -> list[Path]:
+    """Every sidecar file of the journal at ``path`` that is on disk."""
+    path = Path(path)
+    # Exact names only: another journal's name may start with this one's.
+    own = re.compile(rf"{re.escape(path.name)}\.\w+-\d+\.npy")
+    return sorted(
+        side for side in path.parent.glob(f"{glob.escape(path.name)}.*.npy")
+        if own.fullmatch(side.name)
+    )
+
+
+def _count_io(nbytes: int, fsyncs: int) -> None:
+    from .. import telemetry  # lazy: telemetry's logger builds on runtime.atomic
+
+    registry = telemetry.get_registry()
+    registry.counter("journal.bytes").inc(nbytes)
+    registry.counter("journal.fsyncs").inc(fsyncs)
+
+
 class RunJournal:
     """One run's append-only journal. Use :meth:`attach` / :meth:`open`."""
 
@@ -63,6 +115,8 @@ class RunJournal:
         #: Lines dropped on open because of a torn/corrupt tail.
         self.recovered_tail = recovered
         self._records: dict[tuple[str, int], Any] = records
+        #: Sidecars on disk; all but the newest go once it is durable.
+        self._sidecars: set[Path] = set(sidecar_paths(path))
         # AppendStream appends each record with a single O_APPEND write(2)
         # and rolls back partial lines on ENOSPC, so a full disk can stop
         # the journal at a record boundary but never tear it.
@@ -73,15 +127,24 @@ class RunJournal:
     # ------------------------------------------------------------------
     @classmethod
     def create(cls, path: str | Path, header: dict) -> "RunJournal":
-        """Start a fresh journal at ``path`` (truncates any existing file)."""
+        """Start a fresh journal at ``path``: any existing file is
+        truncated and its sidecars deleted."""
         path = Path(path)
+        cls._write_header(path, header)
+        return cls(path, header, {}, recovered=0)
+
+    @classmethod
+    def _write_header(cls, path: Path, header: dict) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
+        for stale in sidecar_paths(path):
+            stale.unlink(missing_ok=True)
         line = cls._encode({"kind": "header", "format": FORMAT_VERSION, "payload": header})
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(line)
+        data = line.encode("utf-8")
+        with open(path, "wb") as fh:
+            fh.write(data)
             fh.flush()
             os.fsync(fh.fileno())
-        return cls(path, header, {}, recovered=0)
+        _count_io(len(data), 1)
 
     @classmethod
     def open(cls, path: str | Path) -> "RunJournal":
@@ -185,7 +248,9 @@ class RunJournal:
             return None
         return rec
 
-    def record(self, kind: str, task_id: int, payload: Any) -> None:
+    def record(
+        self, kind: str, task_id: int, payload: Any, sidecar: Optional[np.ndarray] = None
+    ) -> None:
         """Append one completed task; durable once this returns.
 
         A full disk (real or injected via ``disk_full:journal``) raises
@@ -193,18 +258,55 @@ class RunJournal:
         land, or rolls a partial line back — either way the journal stays
         valid and the unit of work is simply not recorded, so a resumed
         run re-executes it.
+
+        ``sidecar`` (with a dict ``payload``) is written first as this
+        record's ``.npy`` file, its sha256 goes into the journaled
+        payload, and once the record is durable the previous sidecar is
+        deleted.
         """
         from .. import telemetry  # lazy: telemetry's logger builds on runtime.atomic
         from . import faults
 
-        with telemetry.trace("journal.record", level="debug", kind=kind, task_id=int(task_id)):
+        task_id = int(task_id)
+        with telemetry.trace("journal.record", level="debug", kind=kind, task_id=task_id):
             faults.maybe_disk_full("journal")
-            self._stream.write_line(
-                self._encode({"kind": kind, "task_id": int(task_id), "payload": payload})
+            if sidecar is not None:
+                buffer = io.BytesIO()
+                np.save(buffer, sidecar, allow_pickle=False)
+                data = buffer.getvalue()
+                side = sidecar_path(self.path, kind, task_id)
+                atomic_write_bytes(side, data)  # fsyncs the file and its directory
+                _count_io(len(data), 2)
+                payload = {**payload, SIDECAR_KEY: hashlib.sha256(data).hexdigest()}
+            written = self._stream.write_line(
+                self._encode({"kind": kind, "task_id": task_id, "payload": payload})
             )
             self._stream.fsync()
+            _count_io(written, 1)
+            if sidecar is not None:
+                for old in self._sidecars - {side}:
+                    old.unlink(missing_ok=True)
+                self._sidecars = {side}
         telemetry.get_registry().counter("journal.records").inc()
-        self._records[(kind, int(task_id))] = payload
+        self._records[(kind, task_id)] = payload
+
+    def load_sidecar(self, kind: str, task_id: int) -> Optional[np.ndarray]:
+        """The array a record's sidecar holds, or ``None`` when the record
+        has no sidecar, the file is gone, or its bytes fail the digest."""
+        payload = self._records.get((kind, int(task_id)))
+        expected = payload.get(SIDECAR_KEY) if isinstance(payload, dict) else None
+        if expected is None:
+            return None
+        try:
+            data = sidecar_path(self.path, kind, task_id).read_bytes()
+        except OSError:
+            return None
+        if hashlib.sha256(data).hexdigest() != expected:
+            return None
+        try:
+            return np.load(io.BytesIO(data), allow_pickle=False)
+        except ValueError:
+            return None
 
     def completed(self, kind: str) -> dict[int, Any]:
         """``task_id -> payload`` for every journaled task of ``kind``."""
@@ -215,13 +317,26 @@ class RunJournal:
         if not self._stream.closed:
             self._stream.close()
 
-    def remove(self) -> None:
-        """Close and delete the journal file (call after a successful run)."""
+    def reset(self) -> None:
+        """Start over in place: the same header, no records, no sidecars."""
         self.close()
-        try:
-            self.path.unlink()
-        except FileNotFoundError:
-            pass
+        self._write_header(self.path, self.header)
+        self._records = {}
+        self._sidecars = set()
+        self._stream = AppendStream(self.path)
+
+    def remove(self) -> None:
+        """Close and delete the journal and its sidecars (call after a
+        successful run)."""
+        self.close()
+        self.discard(self.path)
+
+    @staticmethod
+    def discard(path: str | Path) -> None:
+        """Delete the journal at ``path`` and its sidecars, if present."""
+        for side in sidecar_paths(path):
+            side.unlink(missing_ok=True)
+        Path(path).unlink(missing_ok=True)
 
     def __enter__(self) -> "RunJournal":
         return self

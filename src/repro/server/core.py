@@ -50,6 +50,7 @@ from ..runtime import (
     CampaignInterrupted,
     DiskFullError,
     JournalError,
+    RunJournal,
     atomic_write_text,
     signals,
 )
@@ -434,7 +435,7 @@ class CampaignServer:
                 telemetry.end_session()
         out = jobdir / GUESSES_FILE
         atomic_write_text(out, "\n".join(guesses) + "\n")
-        journal.unlink(missing_ok=True)  # campaign finished; journal spent
+        RunJournal.discard(journal)  # campaign finished; journal spent
         return "done", {"guesses": len(guesses), "resumed": resume}
 
     # ------------------------------------------------------------------

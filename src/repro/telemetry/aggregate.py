@@ -121,6 +121,7 @@ def summarize_campaign(directory: Union[str, Path]) -> dict:
     run_id = None
     wall_s = 0.0
     journal_records = 0
+    journal_io = {"bytes": 0, "fsyncs": 0}
 
     for source, record in events:
         run_id = run_id or record.get("run_id")
@@ -169,6 +170,9 @@ def summarize_campaign(directory: Union[str, Path]) -> dict:
             histogram.observe(duration * 1e6)  # µs buckets
             if name == "campaign":
                 wall_s += duration
+                delta = fields.get("delta", {})
+                for key in journal_io:
+                    journal_io[key] += int(delta.get(f"journal.{key}", 0))
             if name in EXECUTE_SPANS:
                 attrs = fields.get("attrs", {})
                 delta = fields.get("delta", {})
@@ -207,6 +211,8 @@ def summarize_campaign(directory: Union[str, Path]) -> dict:
         "workers": dict(sorted(workers.items())),
         "faults": {**faults, "unaccounted": unaccounted},
         "journal_records": journal_records,
+        "journal_bytes": journal_io["bytes"],
+        "journal_fsyncs": journal_io["fsyncs"],
         "spans": dict(
             sorted(spans.items(), key=lambda item: -item[1]["total_s"])
         ),
@@ -288,7 +294,9 @@ def render_summary(summary: dict, top_spans: int = 10) -> str:
     lines.append(f"Campaign telemetry: {summary['directory']}")
     lines.append(
         f"  run_id={summary['run_id']}  streams={len(summary['files'])}  "
-        f"journal_records={summary['journal_records']}"
+        f"journal_records={summary['journal_records']}  "
+        f"journal_bytes={summary['journal_bytes']}  "
+        f"journal_fsyncs={summary['journal_fsyncs']}"
     )
     rate = summary.get("guesses_per_s")
     lines.append(

@@ -1,0 +1,217 @@
+"""Ordered journaling: columnar frontier parity, one sidecar, fallback resume.
+
+* **parity** — :class:`OrderedStats` (``truncated_mass`` bitwise) and the
+  stream equal values pinned from the tuple-heap enumerator the columnar
+  frontier replaced, on the golden config, a pruning config and a
+  tie-heavy flat-weight config, each at beam widths {1, 8, 64};
+* **one sidecar** — with ``snapshot_every=1`` a crash at snapshot K
+  leaves exactly one frontier sidecar, never more than two exist at a
+  durable point, and a JSONL ``frontier`` record does not grow with the
+  frontier;
+* **fallback** — when no ``frontier`` record has a usable sidecar (a
+  torn tail reaching back past the live one, a corrupt or deleted
+  sidecar, a journal from before sidecars), the resume restarts from
+  the roots with a ``frontier_restart`` event and still emits the golden
+  stream.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import pytest
+
+from repro import telemetry
+from repro.generation import OrderedConfig, OrderedGenerator
+from repro.runtime import RunJournal, faults
+from repro.runtime.atomic import AppendStream
+from repro.runtime.faults import InjectedFault
+from repro.runtime.journal import SIDECAR_KEY, sidecar_paths
+
+from tests.goldens import GOLDEN_PATH, SPEC, build_model, generate_ordered_stream
+
+
+def flat_model():
+    """Every weight zero: each position's candidates tie exactly."""
+    model = build_model()
+    for parameter in model.model.parameters():
+        parameter.data[...] = 0.0
+    model.pattern_probs = {"N3": 0.5, "L1N1": 0.5}
+    return model
+
+
+#: (model, max_frontier, {beam_width: n}) per config.
+CONFIGS = {
+    "golden": (build_model, SPEC["ordered"]["max_frontier"], {1: 1, 8: 40, 64: 40}),
+    "pruning": (build_model, 64, {1: 120, 8: 120, 64: 120}),
+    "ties": (flat_model, 256, {1: 120, 8: 120, 64: 120}),
+}
+
+
+def _stats(rounds, pops, expansions, model_calls, emitted, truncated_nodes,
+           truncated_mass, exhausted):
+    return {"rounds": rounds, "pops": pops, "expansions": expansions,
+            "model_calls": model_calls, "emitted": emitted,
+            "truncated_nodes": truncated_nodes, "truncated_mass": truncated_mass,
+            "snapshots": 0, "exhausted": exhausted}
+
+
+#: Produced by the tuple-heap enumerator: ``(stats, stream sha256[:16])``.
+PINNED = {
+    ("golden", 1): (_stats(6957, 6957, 6956, 6952, 1, 226868, 0.9508808452137048, False),
+                    "68487dc295052aa7"),
+    ("golden", 8): (_stats(1412, 11359, 11284, 2609, 40, 267485, 0.9878555358463001, False),
+                    "7825a8e94349de11"),
+    ("golden", 64): (_stats(179, 11432, 11332, 475, 40, 267460, 0.9880292155874333, False),
+                     "7825a8e94349de11"),
+    ("pruning", 1): (_stats(271, 335, 270, 266, 65, 4721, 0.9996710368885016, True),
+                     "4213c4c3d8939055"),
+    ("pruning", 8): (_stats(36, 341, 276, 39, 64, 4818, 0.9996669177427099, True),
+                     "7cc54fa9a05fa766"),
+    ("pruning", 64): (_stats(7, 388, 324, 7, 64, 5250, 0.9995724769947438, True),
+                      "9379b157a1af0cf7"),
+    ("ties", 1): (_stats(165, 284, 164, 162, 120, 1264, 0.8000000383704926, False),
+                  "b7614e632297f8d7"),
+    ("ties", 8): (_stats(23, 538, 164, 23, 120, 1264, 0.79907696139182, False),
+                  "839cc8e41ee092ab"),
+    ("ties", 64): (_stats(5, 504, 164, 4, 120, 1264, 0.8000000383704878, False),
+                   "79d6bba923ab3523"),
+}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN_PATH.read_text())["ordered"]
+
+
+@pytest.mark.parametrize("name,beam_width", sorted(PINNED))
+def test_stats_and_stream_match_the_tuple_heap(name, beam_width):
+    make, max_frontier, sizes = CONFIGS[name]
+    gen = OrderedGenerator.for_patterns(
+        make(), config=OrderedConfig(beam_width=beam_width, max_frontier=max_frontier)
+    )
+    stream = gen.generate(sizes[beam_width])
+    stats, digest = PINNED[name, beam_width]
+    assert gen.stats.as_dict() == stats  # == on floats: bitwise truncated_mass
+    assert hashlib.sha256("\n".join(stream).encode()).hexdigest()[:16] == digest
+
+
+def _crash(journal, snapshot_every: int, at: int) -> None:
+    """Run the golden ordered campaign until ``crash:frontier:<at>``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv(faults.FAULT_ENV, f"crash:frontier:{at}")
+        faults.reset()
+        with pytest.raises(InjectedFault):
+            generate_ordered_stream(snapshot_every=snapshot_every, journal=journal)
+    faults.reset()
+
+
+def _frontier_lines(journal) -> list[dict]:
+    return [json.loads(line) for line in journal.read_text().splitlines()[1:]]
+
+
+class TestOneSidecar:
+    def test_crash_leaves_one_sidecar_and_small_records(self, tmp_path, monkeypatch):
+        journal = tmp_path / "run.jsonl"
+        seen = []  # sidecars on disk at every JSONL fsync and after every record
+        fsync = AppendStream.fsync
+        record = RunJournal.record
+
+        def counting_fsync(self):
+            fsync(self)
+            seen.append(("fsync", len(sidecar_paths(journal))))
+
+        def counting_record(self, *args, **kwargs):
+            record(self, *args, **kwargs)
+            seen.append(("record", len(sidecar_paths(journal))))
+
+        monkeypatch.setattr(AppendStream, "fsync", counting_fsync)
+        monkeypatch.setattr(RunJournal, "record", counting_record)
+        _crash(journal, snapshot_every=1, at=12)
+
+        assert [p.name for p in sidecar_paths(journal)] == [
+            "run.jsonl.frontier-11.npy"
+        ]
+        assert max(count for _, count in seen) <= 2
+        assert {count for when, count in seen if when == "record"} == {1}
+        # The frontier lives in the sidecar: a record is its emitted
+        # delta plus a few hundred bytes of counters, however large the
+        # frontier it describes.
+        opened = RunJournal.open(journal)
+        rows = len(opened.load_sidecar("frontier", 11))
+        opened.close()
+        assert rows > 1000
+        for rec in _frontier_lines(journal):
+            assert "heap" not in rec["payload"]
+            line = json.dumps(rec, sort_keys=True, separators=(",", ":"))
+            emitted = json.dumps(rec["payload"]["emitted"], separators=(",", ":"))
+            assert len(line) - len(emitted) < 600
+
+    def test_resume_continues_from_the_sidecar(self, tmp_path, golden):
+        journal = tmp_path / "run.jsonl"
+        _crash(journal, snapshot_every=1, at=12)
+        events = tmp_path / "tele"
+        with telemetry.session(events, run_id="resume"):
+            resumed = generate_ordered_stream(snapshot_every=1, journal=journal, resume=True)
+        assert resumed == golden
+        kinds = [e["event"] for e in telemetry.read_events(events / "telemetry.jsonl")]
+        assert "campaign_resume" in kinds and "frontier_restart" not in kinds
+
+
+def _tear_past_live_sidecar(journal) -> None:
+    lines = journal.read_text().splitlines(keepends=True)
+    journal.write_text("".join(lines[:3]))  # header + records 0 and 1
+
+
+def _corrupt_sidecar(journal) -> None:
+    [side] = sidecar_paths(journal)
+    data = bytearray(side.read_bytes())
+    data[-1] ^= 0xFF
+    side.write_bytes(bytes(data))
+
+
+def _delete_sidecar(journal) -> None:
+    [side] = sidecar_paths(journal)
+    side.unlink()
+
+
+def _pre_sidecar_format(journal) -> None:
+    """Rewrite the journal as the format before sidecars: the frontier
+    as a JSON ``heap`` inside each record."""
+    opened = RunJournal.open(journal)
+    header, records = opened.header, opened.completed("frontier")
+    frontier = opened.load_sidecar("frontier", max(records))
+    opened.close()
+    heap = [
+        [float(row["neg"]), int(row["seq"]), int(row["prompt"]),
+         row["chars"][: row["depth"]].tolist(), bool(row["complete"])]
+        for row in frontier
+    ]
+    old = RunJournal.create(journal, header)  # also deletes the sidecar
+    for sid, payload in sorted(records.items()):
+        payload = {k: v for k, v in payload.items() if k != SIDECAR_KEY}
+        old.record("frontier", sid, {**payload, "heap": heap if sid == max(records) else []})
+    old.close()
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [_tear_past_live_sidecar, _corrupt_sidecar, _delete_sidecar, _pre_sidecar_format],
+    ids=["torn_tail", "corrupt_sidecar", "deleted_sidecar", "json_heap_journal"],
+)
+def test_unusable_frontier_restarts_to_the_golden_stream(tmp_path, golden, damage):
+    journal = tmp_path / "run.jsonl"
+    _crash(journal, snapshot_every=2, at=4)
+    damage(journal)
+    events = tmp_path / "tele"
+    with telemetry.session(events, run_id="resume"):
+        resumed = generate_ordered_stream(snapshot_every=2, journal=journal, resume=True)
+    assert resumed == golden
+    restarts = [e for e in telemetry.read_events(events / "telemetry.jsonl")
+                if e["event"] == "frontier_restart"]
+    assert len(restarts) == 1
+    # The restart began a fresh journal: it journaled the whole run again
+    # and kept one sidecar.
+    assert len(sidecar_paths(journal)) == 1
+    assert sum(len(r["payload"]["emitted"]) for r in _frontier_lines(journal)) == len(golden)

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.runtime import (
@@ -14,6 +15,7 @@ from repro.runtime import (
     write_manifest,
 )
 from repro.runtime.integrity import journal_header_digest, verify_checkpoint
+from repro.runtime.journal import sidecar_path, sidecar_paths
 
 HEADER = {"kind": "dcgen", "seed": 7, "total": 100, "plan": "abc123"}
 
@@ -22,6 +24,15 @@ def make_journal(path, n_records=5):
     journal = RunJournal.create(path, HEADER)
     for i in range(n_records):
         journal.record("leaf_batch", i, {"guesses": [f"pw{i}"], "model_calls": i})
+    journal.close()
+    return path
+
+
+def make_sidecar_journal(path, n_records=3):
+    """A journal whose records each carry a sidecar (only the last stays)."""
+    journal = RunJournal.create(path, HEADER)
+    for i in range(n_records):
+        journal.record("frontier", i, {"seq": i}, sidecar=np.arange(8.0) + i)
     journal.close()
     return path
 
@@ -121,6 +132,53 @@ class TestRepairJournal:
         findings = repair_journal(path)
         assert kinds(findings) == ["unrepairable"]
         assert findings[0].severity == "error"
+
+
+class TestSidecarFindings:
+    def test_clean_sidecar_journal_yields_nothing(self, tmp_path):
+        path = make_sidecar_journal(tmp_path / "run.journal.jsonl")
+        assert scan_journal(path) == []
+        assert repair_journal(path) == []
+
+    def test_missing_newest_sidecar(self, tmp_path):
+        path = make_sidecar_journal(tmp_path / "run.journal.jsonl")
+        sidecar_path(path, "frontier", 2).unlink()
+        findings = scan_journal(path)
+        assert kinds(findings) == ["missing_sidecar"]
+        assert findings[0].severity == "warning"  # a resume restarts, output intact
+        assert findings[0].data["task_id"] == 2
+
+    def test_corrupt_newest_sidecar(self, tmp_path):
+        path = make_sidecar_journal(tmp_path / "run.journal.jsonl")
+        side = sidecar_path(path, "frontier", 2)
+        side.write_bytes(side.read_bytes()[:-1] + b"\0")
+        assert kinds(scan_journal(path)) == ["sidecar_mismatch"]
+
+    def test_repair_deletes_orphans_only(self, tmp_path):
+        path = make_sidecar_journal(tmp_path / "run.journal.jsonl")
+        orphan = sidecar_path(path, "frontier", 9)
+        orphan.write_bytes(b"left behind by a crash")
+        assert kinds(scan_journal(path)) == ["orphan_sidecar"]
+        assert kinds(repair_journal(path)) == ["repaired"]
+        assert sidecar_paths(path) == [sidecar_path(path, "frontier", 2)]
+        assert scan_journal(path) == []
+
+    def test_torn_tail_orphans_the_live_sidecar(self, tmp_path):
+        """A tear that takes the newest record leaves its sidecar with no
+        record, and the surviving newest record without one."""
+        path = make_sidecar_journal(tmp_path / "run.journal.jsonl")
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:-1]) + lines[-1][:20])
+        assert kinds(scan_journal(path)) == ["torn_tail", "missing_sidecar", "orphan_sidecar"]
+        findings = verify_paths([path], repair=True)
+        assert kinds(findings) == ["repaired", "missing_sidecar", "repaired", "checked"]
+        assert sidecar_paths(path) == []
+        assert kinds(scan_journal(path)) == ["missing_sidecar"]
+
+    def test_directory_walk_does_not_list_sidecars(self, tmp_path):
+        make_sidecar_journal(tmp_path / "run.journal.jsonl")
+        findings = verify_paths([tmp_path])
+        assert kinds(findings) == ["checked"]
 
 
 class TestManifest:

@@ -1,10 +1,14 @@
 """Run-journal format, torn-tail recovery, and resume identity checks."""
 
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.runtime import JournalError, RunJournal, file_digest
+from repro.runtime.journal import SIDECAR_KEY, sidecar_path, sidecar_paths
 
 HEADER = {"kind": "dcgen", "seed": 7, "total": 100, "plan": "abc123"}
 
@@ -146,6 +150,92 @@ class TestAttach:
         journal = RunJournal.attach(path, HEADER, resume=False)
         assert journal.completed("leaf_batch") == {}
         journal.close()
+
+
+class TestSidecars:
+    ROWS = np.arange(12, dtype=np.float64)
+
+    def test_record_writes_verified_sidecar(self, tmp_path):
+        journal = RunJournal.create(tmp_path / "run.jsonl", HEADER)
+        journal.record("frontier", 0, {"seq": 3}, sidecar=self.ROWS)
+        side = sidecar_path(journal.path, "frontier", 0)
+        assert side.name == "run.jsonl.frontier-0.npy"
+        payload = journal.completed("frontier")[0]
+        assert payload == {"seq": 3, SIDECAR_KEY: hashlib.sha256(side.read_bytes()).hexdigest()}
+        journal.close()
+        reopened = RunJournal.open(journal.path)
+        np.testing.assert_array_equal(reopened.load_sidecar("frontier", 0), self.ROWS)
+        reopened.close()
+
+    def test_new_sidecar_supersedes_the_last(self, tmp_path):
+        journal = RunJournal.create(tmp_path / "run.jsonl", HEADER)
+        for task_id in range(3):
+            journal.record("frontier", task_id, {"seq": task_id}, sidecar=self.ROWS + task_id)
+            assert sidecar_paths(journal.path) == [sidecar_path(journal.path, "frontier", task_id)]
+        assert journal.load_sidecar("frontier", 1) is None  # superseded and deleted
+        journal.close()
+
+    def test_unusable_sidecar_loads_as_none(self, tmp_path):
+        journal = RunJournal.create(tmp_path / "run.jsonl", HEADER)
+        journal.record("leaf_batch", 0, {"guesses": []})
+        journal.record("frontier", 1, {"seq": 1}, sidecar=self.ROWS)
+        assert journal.load_sidecar("leaf_batch", 0) is None  # record has none
+        assert journal.load_sidecar("frontier", 7) is None  # no such record
+        side = sidecar_path(journal.path, "frontier", 1)
+        side.write_bytes(side.read_bytes()[:-1] + b"\0")
+        assert journal.load_sidecar("frontier", 1) is None  # fails its digest
+        side.unlink()
+        assert journal.load_sidecar("frontier", 1) is None  # gone
+        journal.close()
+
+    def test_reset_keeps_header_and_drops_the_rest(self, tmp_path):
+        journal = RunJournal.create(tmp_path / "run.jsonl", HEADER)
+        journal.record("frontier", 0, {"seq": 0}, sidecar=self.ROWS)
+        journal.reset()
+        assert journal.completed("frontier") == {}
+        assert sidecar_paths(journal.path) == []
+        journal.record("frontier", 0, {"seq": 1})
+        journal.close()
+        reopened = RunJournal.open(journal.path)
+        assert reopened.header == HEADER
+        assert reopened.completed("frontier") == {0: {"seq": 1}}
+        reopened.close()
+
+    def test_create_and_discard_delete_sidecars(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        journal = RunJournal.create(path, HEADER)
+        journal.record("frontier", 0, {"seq": 0}, sidecar=self.ROWS)
+        journal.close()
+        RunJournal.create(path, HEADER).close()  # a fresh run: stale sidecar gone
+        assert sidecar_paths(path) == []
+        journal = RunJournal.open(path)
+        journal.record("frontier", 0, {"seq": 0}, sidecar=self.ROWS)
+        journal.remove()
+        assert not path.exists() and sidecar_paths(path) == []
+        RunJournal.discard(path)  # nothing left: a no-op
+
+    def test_sidecars_of_a_longer_named_journal_are_not_ours(self, tmp_path):
+        other = RunJournal.create(tmp_path / "run.jsonl.bak", HEADER)
+        other.record("frontier", 0, {"seq": 0}, sidecar=self.ROWS)
+        other.close()
+        RunJournal.discard(tmp_path / "run.jsonl")
+        assert sidecar_paths(tmp_path / "run.jsonl") == []
+        assert len(sidecar_paths(other.path)) == 1
+
+    def test_io_counters_include_sidecars(self, tmp_path):
+        registry = telemetry.get_registry()
+        before = (registry.counter("journal.bytes").value,
+                  registry.counter("journal.fsyncs").value)
+        path = tmp_path / "run.jsonl"
+        journal = RunJournal.create(path, HEADER)
+        journal.record("frontier", 0, {"seq": 0}, sidecar=self.ROWS)
+        journal.close()
+        side = sidecar_path(path, "frontier", 0)
+        assert registry.counter("journal.bytes").value - before[0] == (
+            path.stat().st_size + side.stat().st_size
+        )
+        # header + record lines, plus the sidecar file and its directory
+        assert registry.counter("journal.fsyncs").value - before[1] == 4
 
 
 class TestFileDigest:

@@ -151,8 +151,10 @@ def test_two_worker_journaled_campaign_matches_planned_budget(tmp_path):
     assert workers, "no per-worker telemetry streams were written"
     assert sum(w["tasks"] for w in summary["workers"].values()) == len(batches)
 
-    # Journal writes were spanned and counted.
+    # Journal writes were spanned and counted, bytes and fsyncs included.
     assert summary["journal_records"] >= len(batches)
+    assert summary["journal_bytes"] == (tmp_path / "run.jsonl").stat().st_size
+    assert summary["journal_fsyncs"] == summary["journal_records"] + 1  # + header
 
 
 def test_serial_campaign_also_passes_check(tmp_path):
