@@ -20,9 +20,18 @@ Protocol per scale:
 4. record hit rates, unique-guess counts, enumerator stats, and
    wall-clock (wall-clock is reported, never gated).
 
+The ordered run repeats ``REPEATS`` times; its wall-clock is the
+median with the [min, max] spread.  Each run replaces the scale's
+``latest_<scale>`` report and its ``history`` entry for the current
+commit (one entry per commit and scale): the commit, whether ``src/``
+or ``benchmarks/`` differ from it, the enumerator's rounds, pops,
+expansions and model calls, rows per model call, and the ordered
+wall-clock.
+
 ``--check`` enforces only deterministic invariants: the ordered stream
 is duplicate-free and non-increasing in score, every budget is met
-without frontier exhaustion, and pruning is fully accounted.
+without frontier exhaustion, pruning is fully accounted, and every
+repeat emits the same stream with the same counters.
 
 Usage::
 
@@ -34,6 +43,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
+import subprocess
 import time
 from pathlib import Path
 
@@ -53,6 +64,8 @@ SCALES = {
 }
 
 SEED = 7
+#: Timed ordered runs per scale; the median and [min, max] are reported.
+REPEATS = 3
 
 
 def build_trained_model(scale: dict):
@@ -82,22 +95,33 @@ def bench_ordered(model, budgets: list[int], scale: dict, test: list[str]) -> di
     from repro.evaluation import hit_rate
     from repro.generation import OrderedConfig, OrderedGenerator
 
-    gen = OrderedGenerator.for_patterns(
-        model,
-        config=OrderedConfig(
-            beam_width=scale["beam_width"], max_frontier=scale["max_frontier"]
-        ),
-    )
-    t0 = time.perf_counter()
-    scored = gen.generate_scored(max(budgets))
-    seconds = time.perf_counter() - t0
+    runs = []
+    for _ in range(REPEATS):
+        gen = OrderedGenerator.for_patterns(
+            model,
+            config=OrderedConfig(
+                beam_width=scale["beam_width"], max_frontier=scale["max_frontier"]
+            ),
+        )
+        t0 = time.perf_counter()
+        scored = gen.generate_scored(max(budgets))
+        runs.append((time.perf_counter() - t0, scored, gen.stats.as_dict()))
+    times = [seconds for seconds, _, _ in runs]
+    seconds = statistics.median(times)
+    _, scored, stats = runs[0]
     stream = [pw for pw, _ in scored]
     scores = [score for _, score in scored]
     return {
         "guesses": len(stream),
+        "repeats": REPEATS,
         "seconds": round(seconds, 4),
+        "seconds_spread": [round(min(times), 4), round(max(times), 4)],
         "guesses_per_sec": round(len(stream) / seconds, 1) if seconds else None,
-        "stats": gen.stats.as_dict(),
+        "stats": stats,
+        "rows_per_call": round(stats["expansions"] / max(stats["model_calls"], 1), 2),
+        "repeatable": all(
+            other == scored and other_stats == stats for _, other, other_stats in runs
+        ),
         "monotone": all(a >= b for a, b in zip(scores, scores[1:])),
         "unique": len(set(stream)),
         "by_budget": {
@@ -148,7 +172,38 @@ def run_checks(ordered: dict, budgets: list[int]) -> list[str]:
     stats = ordered["stats"]
     if stats["truncated_nodes"] and stats["truncated_mass"] <= 0.0:
         failures.append("frontier pruning dropped nodes without accounting mass")
+    if not ordered["repeatable"]:
+        failures.append("ordered repeats differ in stream or counters")
     return failures
+
+
+def git_state() -> dict:
+    """The commit benchmarked and whether the measured code differs from it."""
+
+    def git(*args) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            ["git", "-C", str(REPO_ROOT), *args], capture_output=True, text=True
+        )
+
+    head = git("rev-parse", "--short", "HEAD")
+    if head.returncode != 0:
+        return {"commit": None, "dirty": None}
+    dirty = git("diff", "--quiet", "HEAD", "--", "src", "benchmarks").returncode != 0
+    return {"commit": head.stdout.strip(), "dirty": dirty}
+
+
+def history_entry(scale: str, ordered: dict) -> dict:
+    stats = ordered["stats"]
+    return {
+        **git_state(),
+        "scale": scale,
+        **{key: stats[key] for key in ("rounds", "pops", "expansions", "model_calls")},
+        "rows_per_call": ordered["rows_per_call"],
+        "repeats": ordered["repeats"],
+        "ordered_seconds_median": ordered["seconds"],
+        "ordered_seconds_spread": ordered["seconds_spread"],
+        "guesses_per_sec": ordered["guesses_per_sec"],
+    }
 
 
 def main() -> int:
@@ -187,6 +242,11 @@ def main() -> int:
         except (OSError, json.JSONDecodeError):
             existing = {}
     existing[f"latest_{args.scale}"] = report
+    entry = history_entry(args.scale, ordered)
+    existing["history"] = [
+        old for old in existing.get("history", [])
+        if (old["commit"], old["scale"]) != (entry["commit"], entry["scale"])
+    ] + [entry]
     args.out.write_text(json.dumps(existing, indent=1) + "\n")
 
     print(f"[{args.scale}] trained in {train_seconds:.1f}s; "
@@ -197,7 +257,9 @@ def main() -> int:
         d = dcgen["by_budget"][str(budget)]["hit_rate"]
         print(f"{budget:>8}  {o:>10.2%}  {d:>10.2%}")
     print(f"ordered: {ordered['guesses']} guesses in {ordered['seconds']}s "
-          f"({ordered['stats']['model_calls']} model calls, "
+          f"(median of {ordered['repeats']}, spread {ordered['seconds_spread']}; "
+          f"{ordered['stats']['model_calls']} model calls, "
+          f"{ordered['rows_per_call']} rows/call, "
           f"{ordered['stats']['truncated_nodes']} pruned)")
     print(f"wrote {args.out}")
 

@@ -22,7 +22,8 @@
 # 5. Ordered smoke (ISSUE 6): a best-first campaign on the same tiny
 #    checkpoint is crashed at a journaled frontier snapshot, resumed,
 #    diffed byte-for-byte against the uninterrupted stream, and its
-#    telemetry must pass `summarize --check`.
+#    telemetry must pass `summarize --check`; the tiny ordered-vs-D&C-GEN
+#    bench gates its deterministic invariants.
 # 6. Compiled-backend smoke (ISSUE 8): reruns the 2-worker campaign with
 #    `--backend compiled` and demands the byte-identical stream, then
 #    gates the compiled tiny bench.  Soft-skipped (with a visible
@@ -136,6 +137,12 @@ diff "$SMOKE_DIR/ordered_clean.txt" "$SMOKE_DIR/ordered_resumed.txt"
 test ! -e "$SMOKE_DIR/ordered.jsonl"
 test -z "$(ls "$SMOKE_DIR"/ordered.jsonl.*.npy 2>/dev/null)"
 echo "ordered smoke: crashed+resumed best-first stream is byte-identical"
+
+# Ordered bench (deterministic gates only: duplicate-free, monotone,
+# budget met, pruning accounted, repeats identical; wall-clock recorded).
+python benchmarks/bench_ordered_vs_dcgen.py --scale tiny --check \
+    --out "$SMOKE_DIR/BENCH_ordered_vs_dcgen.json"
+test -s "$SMOKE_DIR/BENCH_ordered_vs_dcgen.json"
 
 # ----------------------------------------------------------------------
 # PassGPT smoke: the baseline model gets the same journaled campaigns.

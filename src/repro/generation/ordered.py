@@ -18,12 +18,12 @@ frontier is columnar (:class:`Frontier`): numpy arrays of
 ``neg_logprob``, ``seq``, prompt index, depth, packed characters and
 complete flags, kept sorted by ``(neg_logprob, seq)``.  Each round walks
 the sorted prefix: leading complete nodes are emitted, then up to
-``beam_width`` of the most probable incomplete nodes are expanded in one
-batched model call per ``(prompt, depth)`` group, and their children —
-built with array ops — are merged back in order.  Because a child's
-negative log-probability is never below its parent's, a complete node
-reached while nothing else is pending is provably the most probable
-unemitted password — the emitted stream is non-increasing in
+``beam_width`` of the most probable incomplete nodes are expanded with
+one batched model call per ``(prompt length, depth)`` shape, and their
+children — built with array ops — are merged back in order.  Because a
+child's negative log-probability is never below its parent's, a
+complete node reached while nothing else is pending is provably the most
+probable unemitted password — the emitted stream is non-increasing in
 probability and duplicate-free (distinct nodes are distinct strings).
 
 Two prompt modes share the machinery:
@@ -40,12 +40,18 @@ Inference fast path
 -------------------
 
 A frontier is a set of shared prefixes, which is exactly the shape the
-PR-3 machinery optimises: each prompt is primed once through the
-model's :class:`~repro.nn.PromptCache`, expansion batches gather the
-trimmed prompt KV state to the group width (:meth:`~repro.nn.KVCache.
-gather`) and feed only the decided characters through
+prompt-cache machinery optimises: each prompt is primed once through the
+model's :class:`~repro.nn.PromptCache`.  A round's nodes of one
+``(prompt length, depth)`` shape share one forward, whatever their
+prompts: the trimmed prompt KV states are gathered to the rows in one
+copy (:meth:`~repro.nn.KVCache.gather_from`) and only the decided
+characters go through
 :meth:`~repro.nn.GPT2Inference.extend`.  Depth-0 expansions reuse the
-cached prompt logits outright — zero model calls.
+cached prompt logits outright — zero model calls.  The forward and
+:func:`~repro.generation.sampler.constrained_distribution` are
+batch-invariant (each row's bits equal the row computed alone), so how
+rows are grouped never changes a score, and a password scores the same
+at every ``beam_width``.
 
 Fault tolerance
 ---------------
@@ -85,6 +91,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 import numpy as np
 
 from .. import telemetry
+from ..nn import KVCache
 from ..runtime import Budget, RunJournal
 from ..tokenizer.patterns import Pattern
 from .campaign import Campaign, CampaignPlan, run_campaign
@@ -98,8 +105,9 @@ if TYPE_CHECKING:  # imported lazily to avoid a models <-> generation cycle
 class OrderedConfig:
     """Knobs of the best-first enumerator.
 
-    ``beam_width`` is the number of frontier nodes expanded per batched
-    model call — a throughput knob that also sets how many equal-score
+    ``beam_width`` is the number of frontier nodes expanded per round,
+    with one batched model call per ``(prompt length, depth)`` shape
+    among them — a throughput knob that also sets how many equal-score
     candidates can be in flight (the emitted *order* is probability-
     sorted regardless).  ``max_frontier`` caps frontier memory; overflow
     prunes the least probable nodes with full accounting.
@@ -136,7 +144,7 @@ class OrderedStats:
     rounds: int = 0
     pops: int = 0
     expansions: int = 0  # nodes fed through the model (rows)
-    model_calls: int = 0
+    model_calls: int = 0  # extend forwards: one per (prompt length, depth) per round
     emitted: int = 0
     truncated_nodes: int = 0
     truncated_mass: float = 0.0  # probability mass of pruned nodes
@@ -309,6 +317,20 @@ class OrderedGenerator:
             [p.pattern.length if p.pattern is not None else -1 for p in self.prompts],
             dtype=np.int64,
         )
+        self._prompt_len = np.array([len(p.prompt_ids) for p in self.prompts])
+        #: The distinct candidate sets, and which one each (prompt, depth)
+        #: draws its next token from.
+        self._candidates: list[np.ndarray] = []
+        self._candidate_of = np.zeros((len(self.prompts), max(lengths) + 1), dtype=np.intp)
+        known: dict[bytes, int] = {}
+        for i, (prompt, length) in enumerate(zip(self.prompts, lengths)):
+            for depth in range(length + 1):
+                allowed = self._allowed(prompt, depth)
+                key = allowed.tobytes()
+                if key not in known:
+                    known[key] = len(self._candidates)
+                    self._candidates.append(allowed)
+                self._candidate_of[i, depth] = known[key]
 
     # ------------------------------------------------------------------
     # Constructors
@@ -573,49 +595,70 @@ class OrderedGenerator:
     def _expand(self, batch: Frontier, seq: int) -> Frontier:
         """Children of the ``batch`` rows, numbered from ``seq``.
 
-        Nodes are grouped by ``(prompt, depth)`` so each group is one
-        KV-cached forward: the shared prompt comes from the warm
-        :class:`~repro.nn.PromptCache`, the decided characters ride one
-        :meth:`~repro.nn.GPT2Inference.extend` call.  Children come out
-        group by group in sorted ``(prompt, depth)`` order, then by
-        parent in pop order, then by candidate token, so the ``seq``
-        tie-break is deterministic.  Zero-probability children are
-        unreachable and never created.
+        The forwards are batched by shape, not by prompt: all rows whose
+        prompts have one length and that decided one number of characters
+        ride a single :meth:`~repro.nn.GPT2Inference.extend` on a KV
+        cache gathered from their prompts' :class:`~repro.nn.PromptCache`
+        entries, and all rows drawing from one candidate set share one
+        :func:`constrained_distribution`.  Depth-0 rows reuse
+        the cached prompt logits — zero model calls.  Both kernels are
+        batch-invariant, so a row's scores do not depend on which rows
+        share its call.  Children come out in sorted ``(prompt, depth)``
+        order, then by parent in pop order, then by candidate token, so
+        the ``seq`` tie-break is deterministic.  Zero-probability
+        children are unreachable and never created.
         """
         stats = self.stats
         order = np.lexsort((batch.depth, batch.prompt))  # stable: pop order kept
-        prompts, depths = batch.prompt[order], batch.depth[order]
-        changes = (prompts[1:] != prompts[:-1]) | (depths[1:] != depths[:-1])
-        bounds = [0, *(np.flatnonzero(changes) + 1).tolist(), len(order)]
+        prompt, depth = batch.prompt[order], batch.depth[order]
+        distinct, local = np.unique(prompt, return_inverse=True)
+        entries = [
+            self.model.prompt_cache.lookup(self.prompts[i].prompt_ids)
+            for i in distinct.tolist()
+        ]
+        prompt_logits = np.concatenate([logits for logits, _ in entries])
+        logits = np.empty((len(order), prompt_logits.shape[1]), dtype=prompt_logits.dtype)
+        # One group per (prompt length, depth) shape.  Only the
+        # return_inverse form of np.unique here: the plain form imports
+        # numpy.ma on first use, ~15 ms added to every process.
+        shapes, shape = np.unique(
+            self._prompt_len[prompt] * (int(depth.max()) + 1) + depth, return_inverse=True
+        )
+        for key in range(len(shapes)):
+            rows = np.flatnonzero(shape == key)
+            d = int(depth[rows[0]])
+            if d == 0:
+                logits[rows] = prompt_logits[local[rows]]
+                continue
+            used, which = np.unique(local[rows], return_inverse=True)
+            kv = KVCache.gather_from([entries[u][1] for u in used.tolist()], which)
+            chars = batch.chars[order[rows], :d].astype(np.int64)
+            logits[rows] = self.model.inference.extend(chars, kv)
+            stats.model_calls += 1
+        stats.expansions += len(order)
+        sets, candidate = np.unique(self._candidate_of[prompt, depth], return_inverse=True)
         parents, log_probs, tokens = [], [], []
-        for start, stop in zip(bounds[:-1], bounds[1:]):
-            rows = order[start:stop]
-            depth = int(depths[start])
-            prompt = self.prompts[int(prompts[start])]
-            prompt_logits, prompt_kv = self.model.prompt_cache.lookup(prompt.prompt_ids)
-            if depth == 0:
-                logits = np.repeat(prompt_logits, len(rows), axis=0)
-            else:
-                kv = prompt_kv.gather(np.zeros(len(rows), dtype=np.intp))
-                chars = batch.chars[rows, :depth].astype(np.int64)
-                logits = self.model.inference.extend(chars, kv)
-                stats.model_calls += 1
-            allowed = self._allowed(prompt, depth)
+        for key in range(len(sets)):
+            rows = np.flatnonzero(candidate == key)
+            allowed = self._candidates[sets[key]]
             # log of the renormalised constrained distribution, float64
             # so cumulative scores do not lose precision along the path.
             with np.errstate(divide="ignore"):
                 group = np.log(
-                    constrained_distribution(logits, allowed).astype(np.float64)
+                    constrained_distribution(logits[rows], allowed).astype(np.float64)
                 )
-            stats.expansions += len(rows)
             row, column = np.nonzero(np.isfinite(group))
             parents.append(rows[row])
             log_probs.append(group[row, column])
             tokens.append(allowed[column])
-        children = batch.select(np.concatenate(parents))
-        children.neg -= np.concatenate(log_probs)
+        parent = np.concatenate(parents)
+        # Each parent's children are contiguous and in token order within
+        # its candidate set; a stable sort restores the parents' order.
+        by_parent = np.argsort(parent, kind="stable")
+        children = batch.select(order[parent[by_parent]])
+        children.neg -= np.concatenate(log_probs)[by_parent]
         children.seq = np.arange(seq, seq + len(children), dtype=np.int64)
-        token = np.concatenate(tokens)
+        token = np.concatenate(tokens)[by_parent]
         # <EOS> completes an unconditional node without adding a char.
         grows = np.flatnonzero(token != self._eos_id)
         children.chars[grows, children.depth[grows]] = token[grows]

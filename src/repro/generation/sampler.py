@@ -144,7 +144,9 @@ def constrained_distribution(logits: np.ndarray, allowed_ids: np.ndarray) -> np.
 
     Returns shape ``(batch, len(allowed_ids))``; rows sum to 1.
     """
-    restricted = logits[:, allowed_ids]
+    # np.take yields a C-ordered copy (fancy indexing on axis 1 yields an
+    # F-ordered one), so each row sums pairwise at any batch size.
+    restricted = np.take(logits, allowed_ids, axis=1)
     shifted = restricted - restricted.max(axis=-1, keepdims=True)
     probs = np.exp(shifted)
     probs /= probs.sum(axis=-1, keepdims=True)

@@ -95,6 +95,11 @@ class PassGPT(PatternGuidedGuesser):
             self._prompt_cache = PromptCache(self.inference)
         return self._prompt_cache
 
+    def invalidate_inference(self) -> None:
+        """Drop the cached inference snapshot (call after further training)."""
+        self._inference = None
+        self._prompt_cache = None
+
 
     # ------------------------------------------------------------------
     # Persistence

@@ -22,6 +22,16 @@ Fast-path design (inference fast-path v2):
   :meth:`KVCache.gather`) — a shared prompt is primed once, stored
   trimmed to its filled region, and fanned out to any batch width with
   a vectorised row gather instead of being recomputed per row.
+* **batch invariance** — each row of :meth:`GPT2Inference.start` /
+  :meth:`~GPT2Inference.extend` is bitwise equal to that row run alone,
+  whatever other rows (other prompts, same shape) share the call: every
+  matmul runs per row (a batched 3-D operand), including the last
+  position's ``lm_head`` projection, which is a per-row GEMV rather
+  than one 2-D GEMM whose blocking, and so bits, change with the batch
+  size.  The ordered enumerator relies on this to batch nodes of
+  different prompts into one forward without moving a score;
+  ``tests/test_nn_inference_cache.py`` pins it.  The seq==1
+  :meth:`~GPT2Inference.step` kernel makes no such promise.
 * **instrumentation** (:class:`InferenceCounters`) — every forward
   records how many rows×positions it primed, which is the FLOPs proxy
   the throughput bench and CI use to detect de-dedup regressions.
@@ -32,6 +42,7 @@ from __future__ import annotations
 import sys
 from collections import OrderedDict
 from dataclasses import dataclass, fields
+from typing import Sequence
 
 import numpy as np
 
@@ -160,24 +171,57 @@ class KVCache:
         copied; the result owns fresh full-capacity buffers (storage is
         never shared with the source).
         """
+        return KVCache.gather_from([self], indices)
+
+    @staticmethod
+    def gather_from(caches: Sequence["KVCache"], indices: np.ndarray) -> "KVCache":
+        """:meth:`gather` over the rows of several equal-length ``caches``.
+
+        Rows are numbered across ``caches`` in order (row ``i`` of the
+        second cache is ``caches[0].batch + i``) and copied in one pass,
+        so rows primed separately — say, different prompts of one length
+        — join one decodable batch.
+        """
+        first = caches[0]
+        filled = first.length
+        if any(cache.length != filled for cache in caches):
+            raise ValueError("gathered caches must share one filled length")
         indices = np.asarray(indices, dtype=np.intp)
-        out = KVCache.__new__(KVCache)
         n = int(len(indices))
-        filled = self.length
-        out.keys = []
-        out.values = []
-        for k, v in zip(self.keys, self.values):
-            heads, head_dim = k.shape[1], k.shape[3]
-            nk = np.zeros((n, heads, self.capacity, head_dim), dtype=np.float32)
-            nv = np.zeros((n, heads, self.capacity, head_dim), dtype=np.float32)
+        if len(caches) == 1:
+            parts = [(slice(None), indices)]
+        else:
+            starts = np.cumsum([0] + [cache.batch for cache in caches])
+            if n and (indices.min() < 0 or indices.max() >= starts[-1]):
+                raise IndexError("gather index out of range")
+            owner = np.searchsorted(starts, indices, side="right") - 1
+            parts = []
+            for c, start in enumerate(starts[:-1].tolist()):
+                rows = np.flatnonzero(owner == c)
+                parts.append((rows, indices[rows] - start))
+
+        keys, values = [], []
+        for layer, k in enumerate(first.keys):
+            shape = (n, k.shape[1], first.capacity, k.shape[3])
+            nk = np.zeros(shape, dtype=np.float32)
+            nv = np.zeros(shape, dtype=np.float32)
             if filled:
-                nk[:, :, :filled] = k[indices, :, :filled]
-                nv[:, :, :filled] = v[indices, :, :filled]
-            out.keys.append(nk)
-            out.values.append(nv)
-        out.length = filled
-        out.batch = n
-        out.capacity = self.capacity
+                for cache, (rows, local) in zip(caches, parts):
+                    nk[rows, :, :filled] = cache.keys[layer][local, :, :filled]
+                    nv[rows, :, :filled] = cache.values[layer][local, :, :filled]
+            keys.append(nk)
+            values.append(nv)
+        return KVCache._of(keys, values, filled, first.capacity)
+
+    @staticmethod
+    def _of(keys: list, values: list, length: int, capacity: int) -> "KVCache":
+        """A cache over existing per-layer buffers."""
+        out = KVCache.__new__(KVCache)
+        out.keys = keys
+        out.values = values
+        out.length = length
+        out.batch = keys[0].shape[0]
+        out.capacity = capacity
         out._scratch = None
         return out
 
@@ -200,15 +244,13 @@ class KVCache:
         :meth:`gather` on a trimmed cache restores full-capacity buffers,
         so decode headroom is preserved across the round trip.
         """
-        out = KVCache.__new__(KVCache)
         filled = self.length
-        out.keys = [np.ascontiguousarray(k[:, :, :filled]) for k in self.keys]
-        out.values = [np.ascontiguousarray(v[:, :, :filled]) for v in self.values]
-        out.length = filled
-        out.batch = self.batch
-        out.capacity = self.capacity
-        out._scratch = None
-        return out
+        return KVCache._of(
+            [np.ascontiguousarray(k[:, :, :filled]) for k in self.keys],
+            [np.ascontiguousarray(v[:, :, :filled]) for v in self.values],
+            filled,
+            self.capacity,
+        )
 
 
 class GPT2Inference:
@@ -455,8 +497,10 @@ class GPT2Inference:
             h2 = _layer_norm(x, bw.ln2_w, bw.ln2_b)
             x = x + _gelu(h2 @ bw.fc_w + bw.fc_b) @ bw.fc_proj_w + bw.fc_proj_b
         cache.length = stop
-        x_last = _layer_norm(x[:, -1], self.ln_f_w, self.ln_f_b)
-        return x_last @ self.lm_head
+        # (B, 1, dim) @ lm_head is one GEMV per row, the product a lone
+        # row gets; a 2-D (B, dim) GEMM would change a row's bits with B.
+        x_last = _layer_norm(x[:, -1:], self.ln_f_w, self.ln_f_b)
+        return (x_last @ self.lm_head)[:, 0]
 
 
 class PromptCache:

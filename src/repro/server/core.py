@@ -414,8 +414,7 @@ class CampaignServer:
             # so each must start from a cold inference cache: warmth
             # inherited from an earlier job on this slot would make the
             # actuals beat the plan.
-            if hasattr(model, "invalidate_inference"):
-                model.invalidate_inference()
+            model.invalidate_inference()
             # The session joins the request's trace (minted at admit or
             # received via ``traceparent``): its campaign span becomes a
             # remote child of the caller's span, and pool workers chain

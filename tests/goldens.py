@@ -48,8 +48,15 @@ PASSGPT_SPEC = {
 }
 
 
-def build_model():
-    """The fixed reference model: deterministic weights, hand-made S_p."""
+#: An S_p whose prompts mostly share one length (``<BOS> c1 c2 <SEP>``
+#: for all but ``N3``): ordered rounds then batch nodes of different
+#: prompts into one forward.
+SHARED_LENGTH_PATTERNS = {"N3": 0.4, "L1N2": 0.3, "N2L1": 0.2, "L2N1": 0.1}
+
+
+def build_model(pattern_probs=None):
+    """The fixed reference model: deterministic weights, hand-made S_p
+    (``pattern_probs`` overrides the S_p)."""
     from repro.models import PagPassGPT
     from repro.nn import GPT2Config
 
@@ -66,7 +73,7 @@ def build_model():
         seed=spec["seed"],
     )
     model._fitted = True
-    model.pattern_probs = dict(SPEC["pattern_probs"])
+    model.pattern_probs = dict(pattern_probs or SPEC["pattern_probs"])
     return model
 
 

@@ -11,6 +11,9 @@ check that contract from the outside:
   the ordered stream on both membership and scores;
 * **monotonicity / uniqueness** — across beam widths and both prompt
   modes the emitted log-probs never increase and no password repeats;
+* **beam-width invariance** — on an S_p whose prompts share one length,
+  so rounds batch several prompts into one forward, passwords and
+  scores are bitwise equal at beam widths 1, 8 and 64;
 * **truncation accounting** — a frontier cap small enough to prune must
   show up in :class:`OrderedStats` and the metrics registry, never
   silently.
@@ -29,6 +32,8 @@ from repro.generation.sampler import constrained_distribution
 from repro.models import PagPassGPT
 from repro.nn import GPT2Config
 from repro.tokenizer.patterns import Pattern
+
+from tests.goldens import SHARED_LENGTH_PATTERNS, build_model
 
 #: Small enough to brute-force exhaustively: 52*10 + 10*10 = 620 strings.
 TINY_PATTERNS = {"L1N1": 0.6, "N2": 0.4}
@@ -141,6 +146,19 @@ class TestOrderingProperties:
             for w in (1, 16)
         ]
         assert streams[0] == streams[1]
+
+    def test_scores_are_beam_width_invariant_across_prompts(self):
+        """Nodes of prompts that share a length ride one forward; a
+        node's score must not depend on which nodes share its call, so
+        passwords *and* scores agree bitwise at every beam width."""
+        runs = [
+            OrderedGenerator.for_patterns(
+                build_model(SHARED_LENGTH_PATTERNS),
+                config=OrderedConfig(beam_width=w, max_frontier=10**6),
+            ).generate_scored(300)
+            for w in (1, 8, 64)
+        ]
+        assert runs[0] == runs[1] == runs[2]
 
     def test_unconditional_mode_properties(self, tiny_model):
         """PassGPT-style mode: <EOS>-terminated, capped length, ordered."""

@@ -85,6 +85,14 @@ class TestPassGPT:
         with pytest.raises(RuntimeError):
             PassGPT().generate(4)
 
+    def test_invalidate_inference_drops_the_snapshot(self, trained_passgpt):
+        inference, cache = trained_passgpt.inference, trained_passgpt.prompt_cache
+        before = trained_passgpt.generate(16, seed=3)
+        trained_passgpt.invalidate_inference()
+        assert trained_passgpt.inference is not inference
+        assert trained_passgpt.prompt_cache is not cache
+        assert trained_passgpt.generate(16, seed=3) == before
+
 
 class TestPagPassGPTDC:
     def test_wrapper_delegates(self, trained_pagpassgpt, rockyou_tiny):

@@ -4,12 +4,15 @@
 the cache's ``select`` (gather) / ``repeat_rows`` (replicate) operations
 — the primitives D&C-GEN uses when splitting task batches — plus the
 serial-vs-cached equivalence at several prefix lengths, including the
-degenerate one-token prompt and a full-block decode.
+degenerate one-token prompt and a full-block decode.  It also pins batch
+invariance: each row of a batched ``start``/``extend``/
+``constrained_distribution`` is bitwise equal to that row run alone.
 """
 
 import numpy as np
 import pytest
 
+from repro.generation.sampler import constrained_distribution
 from repro.nn import GPT2Config, GPT2Inference, GPT2Model
 from repro.nn.inference import KVCache
 
@@ -322,3 +325,77 @@ class TestBookkeeping:
         empty = cache.select(np.array([], dtype=np.int64))
         assert empty.batch == 0
         assert empty.length == 4
+
+
+class TestBatchInvariance:
+    """A row's bits do not depend on the rows that share its call.
+
+    The ordered enumerator runs nodes of different prompts in one
+    forward and one ``constrained_distribution``, and its scores must
+    equal those of each node expanded alone.
+    """
+
+    @pytest.mark.parametrize("prompt_len", [1, 3, 6])
+    def test_start_rows_equal_lone_rows(self, inf, prompt_len):
+        prompts = np.random.default_rng(prompt_len).integers(0, VOCAB, (40, prompt_len))
+        logits, cache = inf.start(prompts)
+        for row, prompt in enumerate(prompts):
+            lone_logits, lone_cache = inf.start(prompt[None])
+            assert np.array_equal(logits[row], lone_logits[0])
+            pairs = zip(cache.keys + cache.values, lone_cache.keys + lone_cache.values)
+            assert all(np.array_equal(mine[row], lone[0]) for mine, lone in pairs)
+
+    @pytest.mark.parametrize("prompt_len,depth", [(1, 1), (3, 1), (3, 4), (6, 2)])
+    def test_extend_rows_equal_lone_rows(self, inf, prompt_len, depth):
+        rng = np.random.default_rng(10 * prompt_len + depth)
+        prompts = rng.integers(0, VOCAB, (5, prompt_len))
+        primed = [inf.start(prompt[None])[1].trimmed() for prompt in prompts]
+        which = rng.integers(0, len(prompts), 40)
+        chars = rng.integers(0, VOCAB, (40, depth))
+        logits = inf.extend(chars, KVCache.gather_from(primed, which))
+        for row in range(len(chars)):
+            lone = inf.extend(chars[row : row + 1], primed[which[row]].gather([0]))
+            assert np.array_equal(logits[row], lone[0])
+
+    def test_constrained_distribution_rows_equal_lone_rows(self):
+        rng = np.random.default_rng(0)
+        logits = (4 * rng.standard_normal((33, 135))).astype(np.float32)
+        for width in range(1, 71):
+            allowed = rng.choice(135, width, replace=False)
+            probs = constrained_distribution(logits, allowed)
+            for row in range(len(logits)):
+                lone = constrained_distribution(logits[row : row + 1], allowed)
+                assert np.array_equal(probs[row], lone[0]), f"width {width}, row {row}"
+
+
+class TestGatherFrom:
+    def test_rows_numbered_across_caches(self, inf, ids):
+        parts = [inf.start(ids[:2, :4])[1].trimmed(), inf.start(ids[2:3, :4])[1].trimmed()]
+        picked = np.array([2, 0, 1, 2])
+        gathered = KVCache.gather_from(parts, picked)
+        assert (gathered.batch, gathered.length, gathered.capacity) == (4, 4, BLOCK)
+        fresh = inf.start(ids[picked, :4])[1]
+        for mine, theirs in zip(gathered.keys + gathered.values, fresh.keys + fresh.values):
+            assert np.array_equal(mine, theirs)  # zeroed headroom included
+        assert np.array_equal(
+            inf.step(ids[picked, 4], gathered), inf.step(ids[picked, 4], fresh)
+        )
+
+    def test_single_cache_is_gather(self, inf, ids):
+        cache = inf.start(ids[:3, :4])[1]
+        picked = np.array([1, 1, 0])
+        via = KVCache.gather_from([cache], picked)
+        direct = cache.gather(picked)
+        assert all(np.array_equal(a, b) for a, b in zip(via.keys, direct.keys))
+
+    def test_lengths_must_agree(self, inf, ids):
+        short = inf.start(ids[:1, :3])[1]
+        long = inf.start(ids[:1, :4])[1]
+        with pytest.raises(ValueError):
+            KVCache.gather_from([short, long], [0, 1])
+
+    def test_index_out_of_range(self, inf, ids):
+        parts = [inf.start(ids[i : i + 1, :3])[1] for i in range(2)]
+        for bad in ([2], [-1]):
+            with pytest.raises(IndexError):
+                KVCache.gather_from(parts, bad)
